@@ -103,7 +103,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", metavar="PATH", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--segment-size", type=int, default=None)
+    parser.add_argument(
+        "--segment-size",
+        type=int,
+        default=None,
+        help="sieve segment buffer in bytes, one odd integer each (default 2^20)",
+    )
     parser.add_argument("--max-pi-z", type=int, default=None)
 
 

@@ -14,6 +14,7 @@ verify term by term.
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import prod
 from typing import Iterator, NamedTuple
 
 from .highprec import ln_decimal, fraction_to_decimal
@@ -26,10 +27,8 @@ def mertens_product(z: int, table: PrimeTable) -> Fraction:
     """prod_{p < z} (1 - 1/p), exactly; 1 when no prime lies below z."""
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")
-    prod = Fraction(1)
-    for p in sifting_primes(table, z):
-        prod *= Fraction(p - 1, p)
-    return prod
+    primes = sifting_primes(table, z)
+    return Fraction(prod(p - 1 for p in primes), prod(primes))
 
 
 def lpf_density(p: int, table: PrimeTable) -> Fraction:

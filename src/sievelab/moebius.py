@@ -204,16 +204,17 @@ def frac_bound_b3(x: int, z: int, table: PrimeTable) -> Fraction:
     """Exact value of the prime-indexed fractional-part bound.
 
     Sum over sifting primes p < z of {x/p} * prod_{q<p}(1 - 1/q); always in
-    [0, number of sifting primes).  No divisor enumeration is involved, so no
+    [0, number of sifting primes).  Accumulated as one integer numerator over
+    the primorial and reduced once.  No divisor enumeration is involved, so no
     cap applies.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    total = Fraction(0)
-    density = Fraction(1)
+    # num / den accumulates the sum over the primorial of the primes so far;
+    # below is prod_{q<p}(q - 1), so each term is (x mod p) * below / den.
+    num, den, below = 0, 1, 1
     for p in sifting_primes(table, z):
-        r = x % p
-        if r:
-            total += Fraction(r, p) * density
-        density *= Fraction(p - 1, p)
-    return total
+        num = num * p + (x % p) * below
+        den *= p
+        below *= p - 1
+    return Fraction(num, den)

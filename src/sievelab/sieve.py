@@ -4,7 +4,11 @@ The classifier partitions 1..x into disjoint classes: for each sifting prime
 p < z, the integers whose least prime factor is p; everything left over
 (1, the primes in [z, x], and composites with no factor below z) survives.
 Classification runs over fixed-size segments with bytearray slice marking, so
-the hot loops stay in C.  Primes above sqrt(x) never own a composite <= x,
+the hot loops stay in C.  The layout is wheel-2: one segment byte per odd
+integer 2j + 1, so segment_size counts buffer bytes and one segment covers
+about 2 * segment_size integers.  The class of 2 is the x // 2 even integers
+and is counted in closed form; each odd prime marks its odd multiples with
+stride p in index space.  Primes above sqrt(x) never own a composite <= x,
 which lets the census switch to prime counting for the large sifting primes
 instead of touching the segment array.
 """
@@ -12,11 +16,13 @@ instead of touching the segment array.
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from math import isqrt
 
 from .errors import ResourceLimitError
 
+# Bytes per segment buffer, one odd integer each: 1 MiB covers about 2^21
+# integers.  classify_segment caps its window at this many integers.
 DEFAULT_SEGMENT_SIZE = 1 << 20
 # Keeps every floor(x/d) accumulation exact in a 64-bit build of the math;
 # Python ints would not overflow, but the cap keeps runs sane and portable.
@@ -65,7 +71,7 @@ class Segment:
 
 
 def build_prime_table(limit: int, *, budget: int | None = None) -> PrimeTable:
-    """Sieve of Eratosthenes up to limit, returned as an immutable table.
+    """Sieve of Eratosthenes over the odd integers up to limit, plus 2.
 
     Raises ResourceLimitError when the sieve array would exceed the memory
     budget (override with the SIEVELAB_MEMORY_BUDGET environment variable).
@@ -77,13 +83,18 @@ def build_prime_table(limit: int, *, budget: int | None = None) -> PrimeTable:
             f"prime table to {limit} needs {limit + 1} bytes, "
             f"budget is {memory_budget(budget)}"
         )
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return PrimeTable(limit, tuple(i for i in range(2, limit + 1) if flags[i]))
+    if limit < 2:
+        return PrimeTable(limit, ())
+    # flags[j] stands for the odd integer 2j + 1
+    n_odd = (limit + 1) // 2
+    flags = bytearray(b"\x01") * n_odd
+    flags[0] = 0
+    for j in range(1, (isqrt(limit) + 1) // 2):
+        if flags[j]:
+            p = 2 * j + 1
+            start = (p * p) // 2
+            flags[start::p] = bytes((n_odd - 1 - start) // p + 1)
+    return PrimeTable(limit, (2, *compress(range(1, limit + 1, 2), flags)))
 
 
 def prime_count(x: int, table: PrimeTable) -> int:
@@ -113,41 +124,54 @@ def _check_x(x: int) -> None:
         raise ResourceLimitError(f"x = {x} exceeds the 2^48 sieve cap")
 
 
+def _check_segment_size(segment_size: int) -> None:
+    if segment_size < 1:
+        raise ValueError(f"segment size must be >= 1 byte, got {segment_size}")
+
+
 def _sieve_pass(
     x: int,
     primes: tuple[int, ...],
     segment_size: int,
     want_counts: bool,
 ) -> tuple[int, list[int]]:
-    """Mark multiples of `primes` over [1, x] segment by segment.
+    """Mark multiples of `primes` over [1, x] in wheel-2 segments.
 
-    Returns (number of unmarked integers, per-prime counts of integers whose
-    least listed prime factor is primes[i]).  Counts are only accumulated when
-    want_counts is set; the survivor-only path skips the per-prime slice
-    extraction entirely.
+    `primes` is a prefix of the ascending primes, so 2 comes first when it is
+    not empty.  Returns (number of unmarked integers, per-prime counts of
+    integers whose least listed prime factor is primes[i]).  The class of 2
+    is x // 2 in closed form; segment byte j - lo stands for the odd integer
+    2j + 1, and the odd multiples of p sit at j = (p - 1) / 2 (mod p).
+    Counts of odd primes are only accumulated when want_counts is set; the
+    survivor-only path skips the per-prime slice extraction entirely.
     """
     counts = [0] * len(primes)
-    if x < 1:
-        return 0, counts
-    if min(segment_size, x) > memory_budget():
-        raise ResourceLimitError(
-            f"segment of {min(segment_size, x)} bytes exceeds the memory budget"
-        )
-    # longest marking lane is the p = 2 one, at most half a segment
-    ones = b"\x01" * ((min(segment_size, x) + 1) // 2 + 1)
+    if not primes:
+        return x, counts
+    counts[0] = x // 2
+    n_odd = (x + 1) // 2
+    buffer = min(segment_size, n_odd)
+    if buffer > memory_budget():
+        raise ResourceLimitError(f"segment of {buffer} bytes exceeds the memory budget")
+    # longest marking lane is the p = 3 one, at most a third of a segment
+    ones = b"\x01" * ((buffer + 2) // 3 + 1)
     unmarked = 0
-    for lo in range(1, x + 1, segment_size):
-        hi = min(lo + segment_size, x + 1)
+    for lo in range(0, n_odd, segment_size):
+        hi = min(lo + segment_size, n_odd)
         length = hi - lo
         seg = bytearray(length)
-        for i, p in enumerate(primes):
-            # first multiple of p in [lo, hi), never below p itself
-            start = p if p >= lo else ((lo + p - 1) // p) * p
-            if start >= hi:
-                if p >= hi:
+        for i in range(1, len(primes)):
+            p = primes[i]
+            # index of p itself, the first odd multiple never below p
+            h = p >> 1
+            if h >= lo:
+                if h >= hi:
                     break  # primes ascend; no later prime has a multiple here
-                continue
-            a = start - lo
+                a = h - lo
+            else:
+                a = (h - lo) % p
+                if a >= length:
+                    continue
             if want_counts:
                 lane = seg[a::p]
                 counts[i] += lane.count(0)
@@ -176,6 +200,7 @@ def survivor_count(
     if z > table.limit + 1:
         raise ValueError(f"sifting level {z} exceeds table limit {table.limit} + 1")
     _check_x(x)
+    _check_segment_size(segment_size)
     if x < 1:
         return 0
     s = min(z - 1, isqrt(x))
@@ -205,6 +230,7 @@ def lpf_census(
     if z < 2:
         raise ValueError(f"sifting level must be >= 2, got {z}")
     _check_x(x)
+    _check_segment_size(segment_size)
     sift = sifting_primes(table, z)
     s = min(z - 1, isqrt(x))
     n_sieved = bisect_right(sift, s)
@@ -235,8 +261,9 @@ def count_lpf(x: int, p: int, table: PrimeTable) -> int:
 def classify_segment(lo: int, hi: int, z: int, table: PrimeTable) -> Segment:
     """Per-integer least-prime-factor marks for [lo, hi), sifting below z.
 
-    Independent of any other segment; intended for oracle-grade inspection of
-    small windows, not for bulk counting.
+    Independent of any other segment and of the wheel-2 layout of the counting
+    pass; intended for oracle-grade inspection of small windows, not for bulk
+    counting.  The window is capped at DEFAULT_SEGMENT_SIZE integers.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi})")

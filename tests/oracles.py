@@ -72,6 +72,14 @@ def mertens_product(z: int) -> Fraction:
     return prod
 
 
+def frac_bound_b3(x: int, z: int) -> Fraction:
+    """Sum of {x/p} * prod_{q<p}(1 - 1/q) over primes p < z, one Fraction at a time."""
+    total = Fraction(0)
+    for p in primes_upto(z - 1):
+        total += Fraction(x % p, p) * mertens_product(p)
+    return total
+
+
 def harmonic(z: int) -> Fraction:
     """Sum of 1/k over 1 <= k < z."""
     return sum((Fraction(1, k) for k in range(1, z)), Fraction(0))

@@ -106,6 +106,20 @@ def test_sweep_invalid_point_is_config_error(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_non_positive_segment_size_is_config_error(tmp_path, capsys, size):
+    argv = ["sweep", "--x", "1000", "--z", "10", "--no-moebius-check"]
+    code, out, err = run_cli(capsys, *argv, "--segment-size", size)
+    assert (code, out) == (2, "")
+    assert "segment size" in err
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"segment_size = {size}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "segment size" in err
+
+
 def test_verify_identities_small(capsys):
     code, out, _ = run_cli(capsys, "verify-identities", "--limit", "500")
     assert code == 0

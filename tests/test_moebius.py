@@ -165,4 +165,11 @@ def test_remainder_identity_property(x, z):
     assert err == frac_remainder_sum(x, z, _TABLE)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=st.integers(1, 10**9), z=st.integers(2, 400))
+def test_common_denominator_routes_match_fraction_loops(x, z):
+    assert frac_bound_b3(x, z, _TABLE) == oracles.frac_bound_b3(x, z)
+    assert mertens_product(z, _TABLE) == oracles.mertens_product(z)
+
+
 _TABLE = build_prime_table(1_000)

@@ -27,6 +27,9 @@ def test_build_prime_table_examples():
 def test_prime_table_matches_trial_division_oracle():
     table = build_prime_table(10_000)
     assert list(table.primes) == oracles.primes_upto(10_000)
+    # every small limit: the edges at 2, 3 and 4 and each odd square
+    for n in range(1, 401):
+        assert build_prime_table(n).primes == tuple(oracles.primes_upto(n)), n
 
 
 def test_prime_table_sorted_strictly(table_100k):
@@ -124,8 +127,9 @@ def test_count_lpf_rejects_composite(table_1k):
 def test_survivor_count_examples(table_1k):
     assert survivor_count(100, 10, table_1k) == 22
     assert survivor_count(30, 6, table_1k) == 8
-    for x in (1, 7, 64, 999):
+    for x in (*range(1, 51), 64, 999):
         assert survivor_count(x, 2, table_1k) == x
+        assert survivor_count(x, 3, table_1k) == (x + 1) // 2
 
 
 def test_survivor_count_large_z_tail(table_1k):
@@ -165,7 +169,8 @@ def test_survivor_structure_at_sqrt(table_1m):
 
 def test_census_independent_of_segment_size(table_1k):
     baseline = lpf_census(50_000, 100, table_1k)
-    for size in (64, 1_000, 4_096, 1 << 20):
+    # sizes 1..3 put one to three odd integers in a segment
+    for size in (1, 2, 3, 64, 1_000, 4_096, 1 << 20):
         c = lpf_census(50_000, 100, table_1k, segment_size=size)
         assert c.counts == baseline.counts
         assert c.survivors == baseline.survivors
@@ -201,6 +206,11 @@ def test_census_rejects_bad_arguments(table_1k):
         lpf_census(10, 1_002, table_1k)
     with pytest.raises(ResourceLimitError):
         survivor_count(1 << 49, 4, table_1k)
+    for size in (0, -5):
+        with pytest.raises(ValueError):
+            lpf_census(10, 4, table_1k, segment_size=size)
+        with pytest.raises(ValueError):
+            survivor_count(10, 4, table_1k, segment_size=size)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
