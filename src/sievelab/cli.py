@@ -323,7 +323,6 @@ def _cmd_sweep(args) -> int:
         frac_remainder=frac,
         max_pi_z=opts.max_pi_z,
         segment_size=opts.segment_size,
-        output_format=opts.format,
     )
     points = sweep.points()
     rows = []

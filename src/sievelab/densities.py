@@ -11,16 +11,20 @@ is an identity of rationals at every prime r, which the incremental builders
 verify term by term.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 from typing import Iterator, NamedTuple
 
-from .highprec import ln_decimal, fraction_to_decimal
+from .highprec import WORKING_PREC, fraction_to_decimal, ln_decimal
 from .sieve import PrimeTable, sifting_primes, _require_prime
 
-Rational = Fraction
+# Precision of the prime logarithms the harmonic chain sums: 15 digits past
+# the working precision, so the one rounding of the sum gives ln z correctly
+# rounded to WORKING_PREC digits.
+_LOG_GUARD_PREC = 75
 
 
 def mertens_product(z: int, table: PrimeTable) -> Fraction:
@@ -125,18 +129,48 @@ def harmonic_lower_bound_check(z: int, table: PrimeTable) -> HarmonicChain:
     return HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z))
 
 
+def _ln_from_factors(z: int, least: list[int], prime_logs: dict[int, Decimal]) -> Decimal:
+    """ln z as the sum of the logs of its prime factors, rounded once.
+
+    least[m] is the least prime factor of a composite m and 0 for a prime;
+    prime_logs caches each prime's log at _LOG_GUARD_PREC digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _LOG_GUARD_PREC
+        total = Decimal(0)
+        while z > 1:
+            p = least[z] or z
+            log_p = prime_logs.get(p)
+            if log_p is None:
+                log_p = prime_logs[p] = ln_decimal(p, _LOG_GUARD_PREC)
+            total += log_p
+            z //= p
+        ctx.prec = WORKING_PREC
+        return +total
+
+
 def iter_harmonic_chain(z_max: int, table: PrimeTable) -> Iterator[tuple[int, HarmonicChain]]:
-    """harmonic_lower_bound_check for every z in [2, z_max], incrementally."""
+    """harmonic_lower_bound_check for every z in [2, z_max], incrementally.
+
+    log z is summed from the logs of the prime factors of z, so each prime's
+    logarithm is taken once; harmonic_lower_bound_check takes ln z directly.
+    """
     if z_max < 2:
         return
-    prime_set = set(sifting_primes(table, z_max))
+    primes = sifting_primes(table, z_max)
+    prime_set = set(primes)
+    least = [0] * (z_max + 1)
+    # descending, so the least prime factor is the last one written
+    for p in reversed(primes[: bisect_right(primes, isqrt(z_max))]):
+        least[p * p :: p] = [p] * len(range(p * p, z_max + 1, p))
+    prime_logs: dict[int, Decimal] = {}
     inv = Fraction(1)
     harm = Fraction(0)
     for z in range(2, z_max + 1):
         harm += Fraction(1, z - 1)
         if z - 1 in prime_set:
             inv *= Fraction(z - 1, z - 2)
-        log_z = ln_decimal(z)
+        log_z = _ln_from_factors(z, least, prime_logs)
         yield z, HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z))
 
 

@@ -157,7 +157,6 @@ class SweepConfig:
     frac_remainder: bool = False
     max_pi_z: int = DEFAULT_MAX_PI_Z
     segment_size: int = DEFAULT_SEGMENT_SIZE
-    output_format: str = "csv"
 
     def z_for(self, x: int) -> int:
         if self.z_rule == "sqrt":

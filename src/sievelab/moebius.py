@@ -12,6 +12,7 @@ floor is replaced by its real-valued main term.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterator
 
 from .errors import CapExceededError, DivisorOverflowError
@@ -190,14 +191,15 @@ def frac_remainder_sum(
     primes = sifting_primes(table, z)
     if primes:
         _check_enumeration(primes[:-1], max_pi_z)  # largest modulus used
-    total = Fraction(0)
+    # Every modulus d*p divides the product of the sifting primes, so the sum
+    # is one integer numerator over that product, reduced once at the end.
+    den = prod(primes)
+    num = 0
     for i, p in enumerate(primes):
         for value, sign in _signed_subset_products(primes[:i]):
             m = value * p
-            r = x % m
-            if r:
-                total += Fraction(sign * r, m)
-    return total
+            num += sign * (x % m) * (den // m)
+    return Fraction(num, den)
 
 
 def frac_bound_b3(x: int, z: int, table: PrimeTable) -> Fraction:

@@ -14,10 +14,11 @@ instead of touching the segment array.
 """
 
 import os
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
-from math import isqrt
+from math import ceil, isqrt, log
 
 from .errors import ResourceLimitError
 
@@ -70,17 +71,34 @@ class Segment:
     lpf_marks: list[int]
 
 
+def _prime_table_bytes(limit: int) -> int:
+    """Upper bound on the bytes of build_prime_table(limit): its odd flags and
+    the tuple of primes it returns.
+
+    One flag byte per odd integer, plus one tuple entry per prime: pi(x) <
+    1.26 x / ln x for x > 1 (Rosser and Schoenfeld, 1962), and each entry
+    costs a tuple slot and an int object no larger than `limit` (36 bytes
+    below 2^30 on a 64-bit build).
+    """
+    if limit < 2:
+        return 1
+    pi_bound = ceil(1.26 * limit / log(limit))
+    return (limit + 1) // 2 + pi_bound * (8 + sys.getsizeof(limit))
+
+
 def build_prime_table(limit: int, *, budget: int | None = None) -> PrimeTable:
     """Sieve of Eratosthenes over the odd integers up to limit, plus 2.
 
-    Raises ResourceLimitError when the sieve array would exceed the memory
-    budget (override with the SIEVELAB_MEMORY_BUDGET environment variable).
+    Raises ResourceLimitError when the odd flags plus the tuple of primes
+    would exceed the memory budget (override with the SIEVELAB_MEMORY_BUDGET
+    environment variable).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit + 1 > memory_budget(budget):
+    need = _prime_table_bytes(limit)
+    if need > memory_budget(budget):
         raise ResourceLimitError(
-            f"prime table to {limit} needs {limit + 1} bytes, "
+            f"prime table to {limit} needs about {need} bytes, "
             f"budget is {memory_budget(budget)}"
         )
     if limit < 2:

@@ -4,6 +4,7 @@ Everything here works by direct enumeration or trial division and never calls
 into sievelab, so the tests compare two independent routes to each quantity.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -83,3 +84,26 @@ def frac_bound_b3(x: int, z: int) -> Fraction:
 def harmonic(z: int) -> Fraction:
     """Sum of 1/k over 1 <= k < z."""
     return sum((Fraction(1, k) for k in range(1, z)), Fraction(0))
+
+
+def frac_remainder_sum(x: int, z: int) -> Fraction:
+    """Sum of mu(d) * {x/(d*p)} over primes p < z and squarefree d built from
+    the primes below p, one normalised Fraction addition per term."""
+    primes = primes_upto(z - 1)
+    total = Fraction(0)
+    for i, p in enumerate(primes):
+        for mask in range(1 << i):
+            d, sign = 1, 1
+            for j in range(i):
+                if mask >> j & 1:
+                    d *= primes[j]
+                    sign = -sign
+            total += Fraction(sign * (x % (d * p)), d * p)
+    return total
+
+
+def fraction_to_decimal(q: Fraction, prec: int) -> Decimal:
+    """q rounded to `prec` significant digits by Decimal division."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(q.numerator) / Decimal(q.denominator)

@@ -210,6 +210,14 @@ def test_memory_budget_env_var(capsys, monkeypatch):
     assert "resource cap" in err
 
 
+def test_memory_budget_counts_the_chebyshev_prime_table(capsys, monkeypatch):
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "2000000")
+    code, out, err = run_cli(capsys, "chebyshev", "--x-max", "1000000")
+    assert code == 3
+    assert "resource cap" in err
+    assert out == ""
+
+
 def test_load_config_file_parses_comments(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment\nx = pow2:4..8   # trailing\n\nmax-pi-z = 10\n")

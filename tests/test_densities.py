@@ -16,6 +16,7 @@ from sievelab.densities import (
     mertens_product,
     sift_main_term,
 )
+from sievelab.highprec import ln_decimal
 from sievelab.sieve import build_prime_table, count_lpf
 
 
@@ -118,6 +119,13 @@ def test_harmonic_chain_incremental_matches_pointwise(table_1k):
         assert rows[z] == harmonic_lower_bound_check(z, table_1k)
     assert all(rec.ordered for rec in rows.values())
     assert rows[10].harmonic == oracles.harmonic(10)
+
+
+def test_harmonic_chain_logs_match_direct_ln_over_full_range():
+    # log z is summed from prime-factor logs; ln_decimal takes it directly
+    table = build_prime_table(10_000)
+    for z, rec in iter_harmonic_chain(10_000, table):
+        assert rec.log_z.as_tuple() == ln_decimal(z).as_tuple(), z
 
 
 def test_density_table_rows(table_1k):

@@ -172,4 +172,10 @@ def test_common_denominator_routes_match_fraction_loops(x, z):
     assert mertens_product(z, _TABLE) == oracles.mertens_product(z)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=st.integers(1, 10**9), z=st.integers(2, 30))
+def test_frac_remainder_common_denominator_matches_fraction_loop(x, z):
+    assert frac_remainder_sum(x, z, _TABLE) == oracles.frac_remainder_sum(x, z)
+
+
 _TABLE = build_prime_table(1_000)

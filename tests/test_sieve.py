@@ -48,6 +48,13 @@ def test_build_prime_table_memory_budget():
         build_prime_table(10_000, budget=100)
 
 
+def test_build_prime_table_budget_counts_the_prime_tuple():
+    # 2 MB covers the odd flags (0.5 MB) but not the 78498 primes as ints
+    with pytest.raises(ResourceLimitError):
+        build_prime_table(10**6, budget=2 * 10**6)
+    assert len(build_prime_table(10**6, budget=4 * 10**6).primes) == 78498
+
+
 def test_memory_budget_env_override(monkeypatch):
     monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "100")
     with pytest.raises(ResourceLimitError):
