@@ -32,15 +32,10 @@ from .errors import (
     SieveLabError,
 )
 from .moebius import (
-    MoebiusSumBreakdown,
-    SquarefreeDivisor,
-    enumerate_divisors,
     frac_bound_b3,
     frac_remainder_sum,
     legendre_sum,
-    legendre_sum_breakdown,
     lpf_count_via_moebius,
-    moebius,
 )
 from .sieve import (
     LpfCensus,
@@ -66,13 +61,11 @@ __all__ = [
     "ErrorRecord",
     "HarmonicChain",
     "LpfCensus",
-    "MoebiusSumBreakdown",
     "PrimeTable",
     "ProbeRow",
     "ResourceLimitError",
     "Segment",
     "SieveLabError",
-    "SquarefreeDivisor",
     "SweepConfig",
     "build_density_table",
     "build_prime_table",
@@ -80,7 +73,6 @@ __all__ = [
     "classify_segment",
     "count_lpf",
     "density_identity_check",
-    "enumerate_divisors",
     "evaluate_point",
     "frac_bound_b3",
     "frac_remainder_sum",
@@ -89,13 +81,11 @@ __all__ = [
     "iter_harmonic_chain",
     "legendre_blowup_probe",
     "legendre_sum",
-    "legendre_sum_breakdown",
     "lpf_census",
     "lpf_count_via_moebius",
     "lpf_density",
     "lpf_main_term",
     "mertens_product",
-    "moebius",
     "prime_count",
     "run_sweep",
     "sift_main_term",

@@ -9,6 +9,7 @@ import argparse
 import random
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import report
 from .densities import (
@@ -30,6 +31,7 @@ from .sieve import (
     build_prime_table,
     count_lpf,
     lpf_census,
+    sifting_primes,
     survivor_count,
 )
 
@@ -60,9 +62,37 @@ def parse_z_spec(spec: str) -> tuple[str, int | None]:
     return "fixed", int(spec)
 
 
-_CONFIG_KEYS = frozenset(
-    {"x", "z", "frac", "moebius_check", "format", "out", "seed", "segment_size", "max_pi_z"}
-)
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# Settings a sweep config file may hold -> (default, parser of the file's
+# text).  Their flags default to None, so pick can tell an unset flag.
+_SETTINGS = {
+    "x": ("", str),
+    "z": ("sqrt", str),
+    "frac": (False, _parse_bool),
+    "moebius_check": (True, _parse_bool),
+    "format": ("csv", str),
+    "out": (None, str),
+    "segment_size": (DEFAULT_SEGMENT_SIZE, int),
+    "max_pi_z": (DEFAULT_MAX_PI_Z, int),
+}
+
+# Settings that are flags of more than one subcommand.
+_SHARED_FLAGS = {
+    "format": dict(choices=("csv", "json")),
+    "out": dict(metavar="PATH"),
+    "segment_size": dict(
+        type=int, help="sieve segment buffer in bytes, one odd integer each (default 2^20)"
+    ),
+    "max_pi_z": dict(type=int),
+}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -76,19 +106,19 @@ def load_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+def pick(args: argparse.Namespace, config: dict[str, str], key: str):
+    """The flag's value, else the config file's value for it, else its default."""
+    value = getattr(args, key)
+    if value is not None:
+        return value
+    default, convert = _SETTINGS[key]
+    return convert(config[key]) if key in config else default
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -98,37 +128,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    # defaults are applied after config-file merging, hence the None sentinels
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--out", metavar="PATH", default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--segment-size",
-        type=int,
-        default=None,
-        help="sieve segment buffer in bytes, one odd integer each (default 2^20)",
-    )
-    parser.add_argument("--max-pi-z", type=int, default=None)
-
-
-def _resolve_common(args, config: dict[str, str] | None = None):
-    config = config or {}
-
-    def pick(flag_value, key: str, fallback, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in config:
-            return convert(config[key])
-        return fallback
-
-    return argparse.Namespace(
-        format=pick(args.format, "format", "csv", str),
-        out=pick(args.out, "out", None, str),
-        seed=pick(args.seed, "seed", DEFAULT_SEED, int),
-        segment_size=pick(args.segment_size, "segment_size", DEFAULT_SEGMENT_SIZE, int),
-        max_pi_z=pick(args.max_pi_z, "max_pi_z", DEFAULT_MAX_PI_Z, int),
-    )
+def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), default=None, **_SHARED_FLAGS[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,195 +143,146 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities", help="run the exact-identity suite")
     p.add_argument("--limit", type=int, default=10_000)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_flags(p, "segment_size", "max_pi_z")
 
     p = sub.add_parser("sweep", help="evaluate an (x, z) grid and emit a report")
     p.add_argument("--config", metavar="PATH", default=None)
-    p.add_argument("--x", dest="x_spec", default=None,
-                   help="comma list, pow2:a..b, or pow10:a..b")
-    p.add_argument("--z", dest="z_spec", default=None,
+    p.add_argument("--x", default=None, help="comma list, pow2:a..b, or pow10:a..b")
+    p.add_argument("--z", default=None,
                    help="sqrt, logx, fixed:N, or a bare integer (default sqrt)")
     p.add_argument("--frac", action=argparse.BooleanOptionalAction, default=None,
                    help="compute the exact fractional-part remainder per point")
     p.add_argument("--moebius-check", action=argparse.BooleanOptionalAction,
                    default=None, help="cross-check survivors via the full Möbius sum")
-    _add_common(p)
+    _add_flags(p, "format", "out", "segment_size", "max_pi_z")
 
     p = sub.add_parser("chebyshev", help="prime-counting inclusion checks")
     p.add_argument("--x-max", type=int, default=1_000_000)
     p.add_argument("--grid", choices=("default", "decade"), default="default")
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help="additional seeded random sample points")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_flags(p, "format", "out")
 
     p = sub.add_parser("blowup-probe", help="term-count growth of the full Möbius sum")
     p.add_argument("--z-max", type=int, default=31)
     p.add_argument("--x", type=int, default=1_000_000)
-    _add_common(p)
+    _add_flags(p, "format", "out", "max_pi_z")
 
     p = sub.add_parser("density-table", help="per-prime density and partial sums")
     p.add_argument("--z", type=int, default=100)
-    _add_common(p)
+    _add_flags(p, "format", "out")
 
     return parser
 
 
+def _identity_families(limit: int, args) -> list[tuple[str, Iterator[tuple[str, bool]]]]:
+    """The families verify-identities checks, in order, each a stream of
+    (where, holds) pairs.  The streams draw from one seeded rng as they are
+    consumed, so the draws depend only on the checks run before them."""
+    rng = random.Random(args.seed)
+    table = build_prime_table(max(limit, 31))
+    z_cap = min(31, limit + 1)
+
+    def partition():
+        # survivors + sum of class sizes == x, censuses at mixed z
+        for _ in range(40):
+            x = rng.randrange(1, limit + 1)
+            z = max(2, rng.choice([2, min(x + 1, limit), rng.randrange(2, limit + 2)]))
+            c = lpf_census(x, z, table, segment_size=args.segment_size)
+            yield f"(x={x}, z={z})", (
+                c.survivors + sum(n for _, n in c.counts) == x
+                and c.survivors == survivor_count(x, z, table, segment_size=args.segment_size)
+            )
+
+    def class_recursion():
+        # class sizes by two routes: census versus the per-prime recursion
+        for _ in range(5):
+            x = rng.randrange(1, limit + 1)
+            counts = dict(lpf_census(x, z_cap, table).counts)
+            for p in list(counts)[:3]:
+                yield f"(x={x}, p={p})", count_lpf(x, p, table) == counts[p]
+
+    def legendre():
+        # full Möbius sum equals the sieve count
+        for z in range(2, z_cap + 1):
+            for _ in range(3):
+                x = rng.randrange(1, limit + 1)
+                total = legendre_sum(x, z, table, max_pi_z=args.max_pi_z)
+                yield f"(x={x}, z={z})", total == survivor_count(x, z, table)
+
+    def per_prime():
+        for p in sifting_primes(table, z_cap):
+            for _ in range(3):
+                x = rng.randrange(1, limit + 1)
+                size = lpf_count_via_moebius(x, p, table, max_pi_z=args.max_pi_z)
+                yield f"(x={x}, p={p})", size == count_lpf(x, p, table)
+
+    def telescoping():
+        for r, _, _, equal in iter_density_identity(min(limit, 10_000), table):
+            yield f"r={r}", equal
+
+    def remainder():
+        for _ in range(20):
+            x = rng.randrange(1, limit + 1)
+            z = rng.randrange(2, z_cap + 1)
+            lhs = survivor_count(x, z, table) - x * mertens_product(z, table)
+            yield f"(x={x}, z={z})", lhs == frac_remainder_sum(
+                x, z, table, max_pi_z=args.max_pi_z
+            )
+
+    def harmonic():
+        for z, rec in iter_harmonic_chain(min(limit, 10_000), table):
+            yield f"z={z}", z < 3 or rec.ordered
+
+    return [
+        ("partition", partition()),
+        ("class recursion", class_recursion()),
+        ("Legendre sum", legendre()),
+        ("per-prime Möbius", per_prime()),
+        ("density telescoping", telescoping()),
+        ("exact remainder", remainder()),
+        ("harmonic chain", harmonic()),
+    ]
+
+
 def _cmd_verify(args) -> int:
-    opts = _resolve_common(args)
     limit = args.limit
     if limit < 0:
         raise ValueError(f"--limit must be >= 0, got {limit}")
     if limit == 0:
         print("ok: nothing to check (limit 0)")
         return 0
-    rng = random.Random(opts.seed)
-    table = build_prime_table(max(limit, 31))
-    z_cap = min(31, limit + 1)
-    failures: list[str] = []
-
-    def family(name: str, checks: int) -> None:
-        print(f"ok {name}: {checks} checks")
-
-    # partition: survivors + sum of class sizes == x, censuses at mixed z
-    checks = 0
-    for _ in range(40):
-        x = rng.randrange(1, limit + 1)
-        z = rng.choice([2, min(x + 1, limit), rng.randrange(2, limit + 2)])
-        z = max(2, z)
-        c = lpf_census(x, z, table, segment_size=opts.segment_size)
-        if c.survivors + sum(n for _, n in c.counts) != x:
-            failures.append(f"partition at (x={x}, z={z})")
-            break
-        if c.survivors != survivor_count(x, z, table, segment_size=opts.segment_size):
-            failures.append(f"survivor mismatch at (x={x}, z={z})")
-            break
-        checks += 1
-    if not failures:
-        family("partition", checks)
-
-    # class sizes by two routes: census versus the per-prime recursion
-    if not failures:
-        checks = 0
-        for _ in range(5):
-            x = rng.randrange(1, limit + 1)
-            c = dict(lpf_census(x, z_cap, table).counts)
-            for p in list(c)[:3]:
-                if count_lpf(x, p, table) != c[p]:
-                    failures.append(f"class recursion at (x={x}, p={p})")
-                    break
-                checks += 1
-        if not failures:
-            family("class recursion", checks)
-
-    # full Möbius sum equals the sieve count
-    if not failures:
-        checks = 0
-        for z in range(2, z_cap + 1):
-            for _ in range(3):
-                x = rng.randrange(1, limit + 1)
-                if legendre_sum(x, z, table, max_pi_z=opts.max_pi_z) != survivor_count(
-                    x, z, table
-                ):
-                    failures.append(f"Legendre sum at (x={x}, z={z})")
-                    break
-                checks += 1
-            if failures:
-                break
-        if not failures:
-            family("Legendre sum", checks)
-
-    # per-prime Möbius identity
-    if not failures:
-        checks = 0
-        for p in [q for q in table.primes if q < z_cap]:
-            for _ in range(3):
-                x = rng.randrange(1, limit + 1)
-                if lpf_count_via_moebius(x, p, table, max_pi_z=opts.max_pi_z) != count_lpf(
-                    x, p, table
-                ):
-                    failures.append(f"per-prime Möbius at (x={x}, p={p})")
-                    break
-                checks += 1
-            if failures:
-                break
-        if not failures:
-            family("per-prime Möbius", checks)
-
-    # density telescoping at every prime threshold
-    if not failures:
-        checks = 0
-        for r, _, _, equal in iter_density_identity(min(limit, 10_000), table):
-            if not equal:
-                failures.append(f"density telescoping at r={r}")
-                break
-            checks += 1
-        if not failures:
-            family("density telescoping", checks)
-
-    # exact remainder decomposition
-    if not failures:
-        checks = 0
-        for _ in range(20):
-            x = rng.randrange(1, limit + 1)
-            z = rng.randrange(2, z_cap + 1)
-            lhs = survivor_count(x, z, table) - x * mertens_product(z, table)
-            if lhs != frac_remainder_sum(x, z, table, max_pi_z=opts.max_pi_z):
-                failures.append(f"remainder at (x={x}, z={z})")
-                break
-            checks += 1
-        if not failures:
-            family("exact remainder", checks)
-
-    # harmonic chain ordering
-    if not failures:
-        checks = 0
-        for z, rec in iter_harmonic_chain(min(limit, 10_000), table):
-            if z >= 3 and not rec.ordered:
-                failures.append(f"harmonic chain at z={z}")
-                break
-            checks += 1
-        if not failures:
-            family("harmonic chain", checks)
-
-    if failures:
-        print(f"FAIL {failures[0]}", file=sys.stderr)
-        return 1
+    for name, checks in _identity_families(limit, args):
+        count = 0
+        for where, holds in checks:
+            if not holds:
+                print(f"FAIL {name} at {where}", file=sys.stderr)
+                return 1
+            count += 1
+        print(f"ok {name}: {count} checks")
     print("all identity families hold exactly")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    opts = _resolve_common(args, config)
-
-    def pick(flag_value, key: str, fallback, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in config:
-            return convert(config[key])
-        return fallback
-
-    x_spec = pick(args.x_spec, "x", "", str)
-    z_spec = pick(args.z_spec, "z", "sqrt", str)
-    frac = pick(args.frac, "frac", False, _parse_bool)
-    moebius = pick(args.moebius_check, "moebius_check", True, _parse_bool)
-
-    z_rule, z_fixed = parse_z_spec(z_spec)
+    z_rule, z_fixed = parse_z_spec(args.z)
     sweep = SweepConfig(
-        x_values=tuple(parse_x_spec(x_spec)),
+        x_values=tuple(parse_x_spec(args.x)),
         z_rule=z_rule,
         z_fixed=z_fixed,
-        moebius_cross_check=moebius,
-        frac_remainder=frac,
-        max_pi_z=opts.max_pi_z,
-        segment_size=opts.segment_size,
+        moebius_cross_check=args.moebius_check,
+        frac_remainder=args.frac,
+        max_pi_z=args.max_pi_z,
+        segment_size=args.segment_size,
     )
     points = sweep.points()
     rows = []
     if points:
         table = build_prime_table(max(z for _, z in points))
         rows = [report.error_row(rec) for rec in run_sweep(sweep, table)]
-    _emit(report.format_rows(rows, report.ERROR_COLUMNS, opts.format), opts.out)
+    _emit(report.format_rows(rows, report.ERROR_COLUMNS, args.format), args.out)
     return 0
 
 
@@ -347,19 +300,18 @@ def _chebyshev_grid(x_max: int, mode: str, extra: int, seed: int) -> list[int]:
 
 
 def _cmd_chebyshev(args) -> int:
-    opts = _resolve_common(args)
     if args.x_max < 2:
         raise ValueError(f"--x-max must be >= 2, got {args.x_max}")
     table = build_prime_table(args.x_max)
     records = [
         chebyshev_check(x, table)
-        for x in _chebyshev_grid(args.x_max, args.grid, args.random, opts.seed)
+        for x in _chebyshev_grid(args.x_max, args.grid, args.random, args.seed)
     ]
     _emit(
         report.format_rows(
-            [report.chebyshev_row(r) for r in records], report.CHEBYSHEV_COLUMNS, opts.format
+            [report.chebyshev_row(r) for r in records], report.CHEBYSHEV_COLUMNS, args.format
         ),
-        opts.out,
+        args.out,
     )
     bad = [r for r in records if not r.holds_54]
     if bad:
@@ -369,21 +321,19 @@ def _cmd_chebyshev(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    opts = _resolve_common(args)
     table = build_prime_table(max(args.z_max, 2))
-    rows = legendre_blowup_probe(args.z_max, args.x, table, max_pi_z=opts.max_pi_z)
+    rows = legendre_blowup_probe(args.z_max, args.x, table, max_pi_z=args.max_pi_z)
     _emit(
-        report.format_rows([report.probe_row(r) for r in rows], report.PROBE_COLUMNS, opts.format),
-        opts.out,
+        report.format_rows([report.probe_row(r) for r in rows], report.PROBE_COLUMNS, args.format),
+        args.out,
     )
     return 0
 
 
 def _cmd_density(args) -> int:
-    opts = _resolve_common(args)
     table = build_prime_table(max(args.z, 2))
     dt = build_density_table(args.z, table)
-    _emit(report.format_rows(report.density_rows(dt), report.DENSITY_COLUMNS, opts.format), opts.out)
+    _emit(report.format_rows(report.density_rows(dt), report.DENSITY_COLUMNS, args.format), args.out)
     return 0
 
 
@@ -399,6 +349,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config = load_config_file(args.config) if getattr(args, "config", None) else {}
+        for key in _SETTINGS:
+            if hasattr(args, key):
+                setattr(args, key, pick(args, config, key))
         return _COMMANDS[args.command](args)
     except (ResourceLimitError, CapExceededError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

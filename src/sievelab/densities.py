@@ -60,23 +60,32 @@ def density_identity_check(
     return lhs, rhs, lhs == rhs
 
 
+def _telescope(
+    r_max: int, table: PrimeTable
+) -> Iterator[tuple[int, Fraction, Fraction, Fraction, Fraction]]:
+    """(p, g(p), partial sum through p, product below p, product through p)
+    for every prime p <= r_max, each row one step from the last."""
+    below = Fraction(1)
+    partial = Fraction(0)
+    for p in sifting_primes(table, r_max + 1):
+        g = below / p
+        partial += g
+        through = below * Fraction(p - 1, p)
+        yield p, g, partial, below, through
+        below = through
+
+
 def iter_density_identity(
     r_max: int, table: PrimeTable
 ) -> Iterator[tuple[int, Fraction, Fraction, bool]]:
     """density_identity_check at every prime r <= r_max, sharing prefix work.
 
-    The sum route and the product route are maintained as independent
-    accumulators; each yielded tuple compares them exactly.
+    The sum of the densities and one minus the running product are both
+    carried forward by _telescope; each yielded tuple compares them exactly.
     """
-    lhs = Fraction(0)
-    running = Fraction(1)  # feeds the sum route only
-    product = Fraction(1)  # the product route
-    for p in sifting_primes(table, r_max + 1):
-        lhs += running / p
-        running *= Fraction(p - 1, p)
-        product *= Fraction(p - 1, p)
-        rhs = 1 - product
-        yield p, lhs, rhs, lhs == rhs
+    for p, _, partial, _, through in _telescope(r_max, table):
+        rhs = 1 - through
+        yield p, partial, rhs, partial == rhs
 
 
 def lpf_main_term(x: int, p: int, table: PrimeTable) -> Fraction:
@@ -198,14 +207,8 @@ def build_density_table(z: int, table: PrimeTable) -> DensityTable:
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")
     entries: list[DensityEntry] = []
-    below = Fraction(1)
-    partial = Fraction(0)
-    for p in sifting_primes(table, z + 1):
-        g = below / p
-        partial += g
-        through = below * Fraction(p - 1, p)
+    for p, g, partial, below, through in _telescope(z, table):
         if partial != 1 - through:
             raise ArithmeticError(f"telescoping identity failed at p = {p}")
         entries.append(DensityEntry(p, g, partial, below))
-        below = through
     return DensityTable(z, entries)

@@ -47,7 +47,7 @@ class ErrorRecord:
     error: Fraction
     pi_z: int
     log2_legendre_bound: int
-    b3_bound: Fraction | None
+    b3_bound: Fraction
     frac_remainder: Fraction | None
     ratio_error_to_pi_z: Decimal
     flags: tuple[str, ...] = ()

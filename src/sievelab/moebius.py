@@ -7,10 +7,11 @@ is deliberately the honest exponential one, guarded by a configurable cap.
 lpf_count_via_moebius applies the same machinery per sifting prime p, where
 the divisor modulus shrinks to the product of primes strictly below p.  The
 fractional-part sums carry the exact rational remainder left behind when each
-floor is replaced by its real-valued main term.
+floor is replaced by its real-valued main term.  All three draw the divisors
+d and their signs mu(d) from one generator, _signed_subset_products, which
+holds two lists of 2^(k/2) subsets rather than all 2^k.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterator
@@ -22,44 +23,8 @@ DEFAULT_MAX_PI_Z = 24
 _U64_MAX = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class SquarefreeDivisor:
-    """One subset of the generating primes: its product, sign, and support."""
-
-    value: int
-    moebius: int
-    prime_support: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MoebiusSumBreakdown:
-    """Diagnostics for one full Möbius sum evaluation."""
-
-    total: int
-    term_count: int
-    max_abs_partial: int
-
-
-def moebius(n: int) -> int:
-    """The Möbius function: 0 on a squared factor, else (-1)^(prime factors)."""
-    if n < 1:
-        raise ValueError(f"moebius requires n >= 1, got {n}")
-    k = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            k += 1
-        d += 1 if d == 2 else 2
-    if n > 1:
-        k += 1
-    return -1 if k % 2 else 1
-
-
-def _check_enumeration(primes: tuple[int, ...], cap: int | None) -> None:
-    if cap is not None and len(primes) > cap:
+def _check_enumeration(primes: tuple[int, ...], cap: int) -> None:
+    if len(primes) > cap:
         raise CapExceededError(
             f"{len(primes)} sifting primes would enumerate "
             f"2^{len(primes)} = {1 << len(primes)} divisors (cap {cap})"
@@ -73,68 +38,25 @@ def _check_enumeration(primes: tuple[int, ...], cap: int | None) -> None:
             )
 
 
+def _subset_list(primes: tuple[int, ...]) -> list[tuple[int, int]]:
+    subsets = [(1, 1)]
+    for p in primes:
+        subsets += [(value * p, -sign) for value, sign in subsets]
+    return subsets
+
+
 def _signed_subset_products(primes: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """(product, Möbius sign) for every subset, in binary rank order."""
-    if not primes:
-        yield 1, 1
-        return
-    first = primes[0]
-    for value, sign in _signed_subset_products(primes[1:]):
-        yield value, sign
-        yield value * first, -sign
+    """(product, Möbius sign) for every subset, in binary rank order.
 
-
-def _subsets_with_support(
-    primes: tuple[int, ...]
-) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    if not primes:
-        yield 1, 1, ()
-        return
-    first = primes[0]
-    for value, sign, support in _subsets_with_support(primes[1:]):
-        yield value, sign, support
-        yield value * first, -sign, (first, *support)
-
-
-def enumerate_divisors(primes: list[int] | tuple[int, ...]) -> Iterator[SquarefreeDivisor]:
-    """All 2^k squarefree divisors generated by `primes`, in subset rank order.
-
-    Rank order means bit i of the subset index selects primes[i], so the
-    stream is deterministic: 1, p0, p1, p0*p1, p2, ...  Raises
-    DivisorOverflowError up front if the full product would not fit in 64
-    bits.
+    Bit i of the rank selects primes[i]: 1, p0, p1, p0*p1, p2, ...  The
+    subsets of the low and the high half of the primes are listed once each
+    and their products streamed, high half outermost.
     """
-    primes = tuple(primes)
-    if len(set(primes)) != len(primes):
-        raise ValueError(f"generating primes contain duplicates: {primes}")
-    _check_enumeration(primes, cap=None)
-
-    def stream() -> Iterator[SquarefreeDivisor]:
-        for value, sign, support in _subsets_with_support(primes):
-            yield SquarefreeDivisor(value, sign, support)
-
-    return stream()
-
-
-def legendre_sum_breakdown(
-    x: int,
-    z: int,
-    table: PrimeTable,
-    *,
-    max_pi_z: int = DEFAULT_MAX_PI_Z,
-) -> MoebiusSumBreakdown:
-    """Full inclusion-exclusion count with term-count and partial-sum diagnostics."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    primes = sifting_primes(table, z)
-    _check_enumeration(primes, max_pi_z)
-    total = 0
-    max_abs = 0
-    for value, sign in _signed_subset_products(primes):
-        total += sign * (x // value)
-        if abs(total) > max_abs:
-            max_abs = abs(total)
-    return MoebiusSumBreakdown(total, 1 << len(primes), max_abs)
+    half = len(primes) // 2
+    low = _subset_list(primes[:half])
+    for high_value, high_sign in _subset_list(primes[half:]):
+        for value, sign in low:
+            yield value * high_value, sign * high_sign
 
 
 def legendre_sum(
@@ -149,7 +71,11 @@ def legendre_sum(
     Must agree exactly with the sieve's survivor count; the evaluation cost is
     2^(number of sifting primes), which is the point of the cap.
     """
-    return legendre_sum_breakdown(x, z, table, max_pi_z=max_pi_z).total
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    primes = sifting_primes(table, z)
+    _check_enumeration(primes, max_pi_z)
+    return sum(sign * (x // value) for value, sign in _signed_subset_products(primes))
 
 
 def lpf_count_via_moebius(

@@ -78,8 +78,8 @@ def error_row(rec: ErrorRecord) -> dict[str, Any]:
         "error_dec": render(rec.error),
         "pi_z": rec.pi_z,
         "log2_legendre_bound": rec.log2_legendre_bound,
-        "b3_exact": None if rec.b3_bound is None else str(rec.b3_bound),
-        "b3_dec": None if rec.b3_bound is None else render(rec.b3_bound),
+        "b3_exact": str(rec.b3_bound),
+        "b3_dec": render(rec.b3_bound),
         "frac_remainder_exact": (
             None if rec.frac_remainder is None else str(rec.frac_remainder)
         ),

@@ -50,22 +50,6 @@ def survivors(x: int, z: int) -> int:
     return census(x, z)[1]
 
 
-def moebius(n: int) -> int:
-    """Via full factorization: 0 on a squared factor, else parity of factor count."""
-    k = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            k += 1
-        d += 1
-    if n > 1:
-        k += 1
-    return -1 if k % 2 else 1
-
-
 def mertens_product(z: int) -> Fraction:
     prod = Fraction(1)
     for p in primes_upto(z - 1):

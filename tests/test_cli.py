@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from sievelab import cli
 from sievelab.cli import load_config_file, main, parse_x_spec, parse_z_spec
 from sievelab.report import read_csv
 
@@ -229,3 +231,105 @@ def test_load_config_file_rejects_unknown_keys(tmp_path):
     cfg.write_text("xx = 16\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(str(cfg))
+
+
+GOLDEN_VERIFY = """\
+ok partition: 40 checks
+ok class recursion: 15 checks
+ok Legendre sum: 90 checks
+ok per-prime Möbius: 30 checks
+ok density telescoping: 109 checks
+ok exact remainder: 20 checks
+ok harmonic chain: 599 checks
+all identity families hold exactly
+"""
+
+
+def test_verify_identities_golden_bytes(capsys):
+    code, out, err = run_cli(capsys, "verify-identities", "--limit", "600", "--seed", "5")
+    assert (code, out, err) == (0, GOLDEN_VERIFY, "")
+
+
+def _off_by_one(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) + 1
+
+
+def _one_survivor_too_many(real):
+    def census(*args, **kwargs):
+        c = real(*args, **kwargs)
+        return dataclasses.replace(c, survivors=c.survivors + 1)
+    return census
+
+
+def _unequal(real):
+    return lambda *args, **kwargs: ((*row[:3], False) for row in real(*args, **kwargs))
+
+
+def _unordered(real):
+    return lambda *args, **kwargs: (
+        (z, rec._replace(ordered=False)) for z, rec in real(*args, **kwargs)
+    )
+
+
+_FAMILY_ROUTES = [
+    ("partition", "lpf_census", _one_survivor_too_many),
+    ("class recursion", "count_lpf", _off_by_one),
+    ("Legendre sum", "legendre_sum", _off_by_one),
+    ("per-prime Möbius", "lpf_count_via_moebius", _off_by_one),
+    ("density telescoping", "iter_density_identity", _unequal),
+    ("exact remainder", "frac_remainder_sum", _off_by_one),
+    ("harmonic chain", "iter_harmonic_chain", _unordered),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_FAMILY_ROUTES)), ids=[f[1] for f in _FAMILY_ROUTES])
+def test_verify_stops_at_the_first_failing_family(capsys, monkeypatch, index):
+    family, route, breaker = _FAMILY_ROUTES[index]
+    broken = breaker(getattr(cli, route))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return broken(*args, **kwargs)
+
+    monkeypatch.setattr(cli, route, counted)
+    code, out, err = run_cli(capsys, "verify-identities", "--limit", "600", "--seed", "5")
+    assert code == 1
+    assert err.splitlines()[0].startswith(f"FAIL {family} at ")
+    assert out == "".join(GOLDEN_VERIFY.splitlines(keepends=True)[:index])
+    if route == "count_lpf":
+        assert len(calls) == 1  # no draws past the first failing check
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("verify-identities", "--format=json"),
+        ("verify-identities", "--out=report.txt"),
+        ("density-table", "--seed=1"),
+        ("density-table", "--segment-size=1"),
+        ("density-table", "--max-pi-z=1"),
+        ("chebyshev", "--segment-size=1"),
+        ("chebyshev", "--max-pi-z=1"),
+        ("blowup-probe", "--seed=1"),
+        ("blowup-probe", "--segment-size=1"),
+        ("sweep", "--seed=1"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(
+    tmp_path, monkeypatch, capsys, command, flag
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_sweep_config_rejects_the_seed_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("x = 16\nseed = 5\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "unknown config key 'seed'" in err

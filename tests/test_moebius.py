@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -8,75 +9,47 @@ from hypothesis import strategies as st
 import oracles
 from sievelab.errors import CapExceededError, DivisorOverflowError
 from sievelab.moebius import (
-    enumerate_divisors,
+    _signed_subset_products,
     frac_bound_b3,
     frac_remainder_sum,
     legendre_sum,
-    legendre_sum_breakdown,
     lpf_count_via_moebius,
-    moebius,
 )
 from sievelab.sieve import build_prime_table, count_lpf, prime_count, survivor_count
 
 from sievelab.densities import mertens_product
 
 
-def test_moebius_examples():
-    assert moebius(1) == 1
-    assert moebius(6) == 1
-    assert moebius(12) == 0
-
-
-def test_moebius_against_factorization_oracle():
-    for n in range(1, 100_001):
-        assert moebius(n) == oracles.moebius(n), n
-
-
-def test_moebius_rejects_zero():
-    with pytest.raises(ValueError):
-        moebius(0)
-
-
 def test_enumerate_divisors_empty():
-    divs = list(enumerate_divisors([]))
-    assert len(divs) == 1
-    assert (divs[0].value, divs[0].moebius, divs[0].prime_support) == (1, 1, ())
+    assert list(_signed_subset_products(())) == [(1, 1)]
 
 
 def test_enumerate_divisors_two_primes():
-    divs = list(enumerate_divisors([2, 3]))
-    assert [d.value for d in divs] == [1, 2, 3, 6]
-    assert [d.moebius for d in divs] == [1, -1, -1, 1]
+    assert list(_signed_subset_products((2, 3))) == [(1, 1), (2, -1), (3, -1), (6, 1)]
 
 
 def test_enumerate_divisors_rank_order_and_count():
-    divs = list(enumerate_divisors([2, 3, 5]))
-    assert [d.value for d in divs] == [1, 2, 3, 6, 5, 10, 15, 30]
-    for d in divs:
-        prod = 1
-        for p in d.prime_support:
-            prod *= p
-        assert prod == d.value
-        assert d.moebius == (-1) ** len(d.prime_support)
-        assert d.moebius == oracles.moebius(d.value)
+    # bit i of the rank selects primes[i]; both halves and an odd split
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    for k in range(len(primes) + 1):
+        expected = []
+        for mask in range(1 << k):
+            chosen = [primes[i] for i in range(k) if mask >> i & 1]
+            expected.append((prod(chosen), (-1) ** len(chosen)))
+        assert list(_signed_subset_products(primes[:k])) == expected, k
 
 
 def test_enumerate_divisors_term_count_doubles():
-    primes = [2, 3, 5, 7, 11, 13]
+    primes = (2, 3, 5, 7, 11, 13)
     for k in range(len(primes) + 1):
-        assert sum(1 for _ in enumerate_divisors(primes[:k])) == 1 << k
+        assert sum(1 for _ in _signed_subset_products(primes[:k])) == 1 << k
 
 
-def test_enumerate_divisors_rejects_duplicates():
-    with pytest.raises(ValueError):
-        list(enumerate_divisors([2, 3, 2]))
-
-
-def test_enumerate_divisors_overflow():
-    primes = oracles.primes_upto(60)  # product of the 16 smallest exceeds 2^64
-    assert len(primes) >= 16
+def test_enumerate_divisors_overflow(table_1k):
+    # 17 sifting primes, within the cap of 30, but the product of the first
+    # 16 exceeds 2^64
     with pytest.raises(DivisorOverflowError):
-        enumerate_divisors(primes[:16])
+        legendre_sum(1000, 60, table_1k, max_pi_z=30)
 
 
 def test_legendre_sum_examples(table_1k):
@@ -84,13 +57,6 @@ def test_legendre_sum_examples(table_1k):
     assert legendre_sum(30, 6, table_1k) == 8
     for x in (1, 5, 100, 937):
         assert legendre_sum(x, 2, table_1k) == x
-
-
-def test_legendre_breakdown(table_1k):
-    b = legendre_sum_breakdown(30, 6, table_1k)
-    assert b.total == 8
-    assert b.term_count == 8
-    assert b.max_abs_partial >= 30  # the first partial sum is x itself
 
 
 def test_legendre_sum_cap_error_names_term_count(table_1k):
