@@ -10,10 +10,7 @@ from .densities import (
     harmonic_lower_bound_check,
     iter_density_identity,
     iter_harmonic_chain,
-    lpf_density,
-    lpf_main_term,
     mertens_product,
-    sift_main_term,
 )
 from .errorlab import (
     ChebyshevRecord,
@@ -27,7 +24,6 @@ from .errorlab import (
 )
 from .errors import (
     CapExceededError,
-    DivisorOverflowError,
     ResourceLimitError,
     SieveLabError,
 )
@@ -40,9 +36,7 @@ from .moebius import (
 from .sieve import (
     LpfCensus,
     PrimeTable,
-    Segment,
     build_prime_table,
-    classify_segment,
     count_lpf,
     lpf_census,
     prime_count,
@@ -57,20 +51,17 @@ __all__ = [
     "ChebyshevRecord",
     "DensityEntry",
     "DensityTable",
-    "DivisorOverflowError",
     "ErrorRecord",
     "HarmonicChain",
     "LpfCensus",
     "PrimeTable",
     "ProbeRow",
     "ResourceLimitError",
-    "Segment",
     "SieveLabError",
     "SweepConfig",
     "build_density_table",
     "build_prime_table",
     "chebyshev_check",
-    "classify_segment",
     "count_lpf",
     "density_identity_check",
     "evaluate_point",
@@ -83,12 +74,9 @@ __all__ = [
     "legendre_sum",
     "lpf_census",
     "lpf_count_via_moebius",
-    "lpf_density",
-    "lpf_main_term",
     "mertens_product",
     "prime_count",
     "run_sweep",
-    "sift_main_term",
     "sifting_primes",
     "survivor_count",
 ]

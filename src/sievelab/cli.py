@@ -27,7 +27,6 @@ from .moebius import (
     lpf_count_via_moebius,
 )
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     build_prime_table,
     count_lpf,
     lpf_census,
@@ -71,6 +70,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 # Settings a sweep config file may hold -> (default, parser of the file's
 # text).  Their flags default to None, so pick can tell an unset flag.
 _SETTINGS = {
@@ -80,18 +86,17 @@ _SETTINGS = {
     "moebius_check": (True, _parse_bool),
     "format": ("csv", str),
     "out": (None, str),
-    "segment_size": (DEFAULT_SEGMENT_SIZE, int),
-    "max_pi_z": (DEFAULT_MAX_PI_Z, int),
+    "max_pi_z": (DEFAULT_MAX_PI_Z, non_negative_int),
 }
 
 # Settings that are flags of more than one subcommand.
 _SHARED_FLAGS = {
     "format": dict(choices=("csv", "json")),
     "out": dict(metavar="PATH"),
-    "segment_size": dict(
-        type=int, help="sieve segment buffer in bytes, one odd integer each (default 2^20)"
+    "max_pi_z": dict(
+        type=non_negative_int,
+        help=f"most sifting primes a Möbius sum may enumerate (default {DEFAULT_MAX_PI_Z})",
     ),
-    "max_pi_z": dict(type=int),
 }
 
 
@@ -144,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-identities", help="run the exact-identity suite")
     p.add_argument("--limit", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_flags(p, "segment_size", "max_pi_z")
+    _add_flags(p, "max_pi_z")
 
     p = sub.add_parser("sweep", help="evaluate an (x, z) grid and emit a report")
     p.add_argument("--config", metavar="PATH", default=None)
@@ -155,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute the exact fractional-part remainder per point")
     p.add_argument("--moebius-check", action=argparse.BooleanOptionalAction,
                    default=None, help="cross-check survivors via the full Möbius sum")
-    _add_flags(p, "format", "out", "segment_size", "max_pi_z")
+    _add_flags(p, "format", "out", "max_pi_z")
 
     p = sub.add_parser("chebyshev", help="prime-counting inclusion checks")
     p.add_argument("--x-max", type=int, default=1_000_000)
@@ -190,10 +195,10 @@ def _identity_families(limit: int, args) -> list[tuple[str, Iterator[tuple[str, 
         for _ in range(40):
             x = rng.randrange(1, limit + 1)
             z = max(2, rng.choice([2, min(x + 1, limit), rng.randrange(2, limit + 2)]))
-            c = lpf_census(x, z, table, segment_size=args.segment_size)
+            c = lpf_census(x, z, table)
             yield f"(x={x}, z={z})", (
                 c.survivors + sum(n for _, n in c.counts) == x
-                and c.survivors == survivor_count(x, z, table, segment_size=args.segment_size)
+                and c.survivors == survivor_count(x, z, table)
             )
 
     def class_recursion():
@@ -275,7 +280,6 @@ def _cmd_sweep(args) -> int:
         moebius_cross_check=args.moebius_check,
         frac_remainder=args.frac,
         max_pi_z=args.max_pi_z,
-        segment_size=args.segment_size,
     )
     points = sweep.points()
     rows = []

@@ -19,7 +19,7 @@ from math import isqrt, prod
 from typing import Iterator, NamedTuple
 
 from .highprec import WORKING_PREC, fraction_to_decimal, ln_decimal
-from .sieve import PrimeTable, sifting_primes, _require_prime
+from .sieve import PrimeTable, sifting_primes
 
 # Precision of the prime logarithms the harmonic chain sums: 15 digits past
 # the working precision, so the one rounding of the sum gives ln z correctly
@@ -33,12 +33,6 @@ def mertens_product(z: int, table: PrimeTable) -> Fraction:
         raise ValueError(f"z must be >= 2, got {z}")
     primes = sifting_primes(table, z)
     return Fraction(prod(p - 1 for p in primes), prod(primes))
-
-
-def lpf_density(p: int, table: PrimeTable) -> Fraction:
-    """Density of the integers whose least prime factor is p: (1/p) prod_{q<p}(1-1/q)."""
-    _require_prime(p, table)
-    return mertens_product(p, table) / p
 
 
 def density_identity_check(
@@ -86,29 +80,6 @@ def iter_density_identity(
     for p, _, partial, _, through in _telescope(r_max, table):
         rhs = 1 - through
         yield p, partial, rhs, partial == rhs
-
-
-def lpf_main_term(x: int, p: int, table: PrimeTable) -> Fraction:
-    """Main-term estimate x * g(p) for the least-prime-factor class of p."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return x * lpf_density(p, table)
-
-
-def sift_main_term(x: int, z: int, table: PrimeTable) -> Fraction:
-    """Sum of the per-prime main terms over all sifting primes below z.
-
-    Telescopes to x * (1 - mertens_product(z)); computed as the sum so tests
-    can compare both routes.
-    """
-    if z < 2:
-        raise ValueError(f"z must be >= 2, got {z}")
-    total = Fraction(0)
-    running = Fraction(1)
-    for p in sifting_primes(table, z):
-        total += Fraction(x) * running / p
-        running *= Fraction(p - 1, p)
-    return total
 
 
 class HarmonicChain(NamedTuple):

@@ -24,12 +24,7 @@ from .moebius import (
     frac_remainder_sum,
     legendre_sum,
 )
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    PrimeTable,
-    prime_count,
-    survivor_count,
-)
+from .sieve import PrimeTable, prime_count, survivor_count
 
 # Per-point Möbius cross-checks are enabled by default only this far; the
 # divisor enumeration doubles per extra sifting prime.
@@ -82,7 +77,6 @@ def evaluate_point(
     moebius_cross_check: bool = True,
     frac_remainder: bool = False,
     max_pi_z: int = DEFAULT_MAX_PI_Z,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> ErrorRecord:
     """Evaluate one sweep point exactly.
 
@@ -94,7 +88,7 @@ def evaluate_point(
         raise ValueError(f"need 2 <= z <= x, got z={z}, x={x}")
     if z > table.limit:
         raise ValueError(f"z={z} exceeds table limit {table.limit}")
-    survivors = survivor_count(x, z, table, segment_size=segment_size)
+    survivors = survivor_count(x, z, table)
     main_term = x * mertens_product(z, table)
     error = survivors - main_term
     flags: list[str] = []
@@ -156,7 +150,6 @@ class SweepConfig:
     moebius_cross_check: bool = True
     frac_remainder: bool = False
     max_pi_z: int = DEFAULT_MAX_PI_Z
-    segment_size: int = DEFAULT_SEGMENT_SIZE
 
     def z_for(self, x: int) -> int:
         if self.z_rule == "sqrt":
@@ -187,7 +180,6 @@ def run_sweep(config: SweepConfig, table: PrimeTable) -> list[ErrorRecord]:
             moebius_cross_check=config.moebius_cross_check,
             frac_remainder=config.frac_remainder,
             max_pi_z=config.max_pi_z,
-            segment_size=config.segment_size,
         )
         for x, z in config.points()
     ]

@@ -11,7 +11,3 @@ class ResourceLimitError(SieveLabError):
 
 class CapExceededError(SieveLabError):
     """A divisor enumeration would exceed the configured subset-count cap."""
-
-
-class DivisorOverflowError(CapExceededError):
-    """A squarefree divisor product would not fit in an unsigned 64-bit word."""

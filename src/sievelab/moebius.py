@@ -3,7 +3,8 @@
 legendre_sum evaluates the classical inclusion-exclusion count of integers
 free of small prime factors as a sum over all divisors of the product of
 sifting primes; the term count is 2^k for k sifting primes, and the evaluator
-is deliberately the honest exponential one, guarded by a configurable cap.
+is deliberately the honest exponential one, guarded by one configurable cap
+on the number of sifting primes, max_pi_z; nothing else limits it.
 lpf_count_via_moebius applies the same machinery per sifting prime p, where
 the divisor modulus shrinks to the product of primes strictly below p.  The
 fractional-part sums carry the exact rational remainder left behind when each
@@ -16,11 +17,12 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator
 
-from .errors import CapExceededError, DivisorOverflowError
+from .errors import CapExceededError
 from .sieve import PrimeTable, sifting_primes, _require_prime
 
-DEFAULT_MAX_PI_Z = 24
-_U64_MAX = (1 << 64) - 1
+# Default cap on the sifting primes of one enumeration: 2^15 terms, every
+# divisor below 2^64 (the product of the first 16 primes exceeds it).
+DEFAULT_MAX_PI_Z = 15
 
 
 def _check_enumeration(primes: tuple[int, ...], cap: int) -> None:
@@ -29,13 +31,6 @@ def _check_enumeration(primes: tuple[int, ...], cap: int) -> None:
             f"{len(primes)} sifting primes would enumerate "
             f"2^{len(primes)} = {1 << len(primes)} divisors (cap {cap})"
         )
-    product = 1
-    for i, p in enumerate(primes):
-        product *= p
-        if product > _U64_MAX:
-            raise DivisorOverflowError(
-                f"product of the first {i + 1} generating primes exceeds 64 bits"
-            )
 
 
 def _subset_list(primes: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -10,7 +10,10 @@ about 2 * segment_size integers.  The class of 2 is the x // 2 even integers
 and is counted in closed form; each odd prime marks its odd multiples with
 stride p in index space.  Primes above sqrt(x) never own a composite <= x,
 which lets the census switch to prime counting for the large sifting primes
-instead of touching the segment array.
+instead of touching the segment array.  Two caps bound a run, each checked
+before any sieving: MAX_SIEVE_X on x, and the memory budget (the
+SIEVELAB_MEMORY_BUDGET environment variable) on the prime table and the
+segment buffer.
 """
 
 import os
@@ -23,19 +26,18 @@ from math import ceil, isqrt, log
 from .errors import ResourceLimitError
 
 # Bytes per segment buffer, one odd integer each: 1 MiB covers about 2^21
-# integers.  classify_segment caps its window at this many integers.
+# integers.  survivor_count and lpf_census take it as segment_size, so tests
+# can force segment boundaries; no caller outside them sets it.
 DEFAULT_SEGMENT_SIZE = 1 << 20
-# Keeps every floor(x/d) accumulation exact in a 64-bit build of the math;
-# Python ints would not overflow, but the cap keeps runs sane and portable.
+# Feasibility cap on x: 10^8 integers take about half a second, so a pass
+# near 2^48 already takes weeks; a larger x is refused up front.
 MAX_SIEVE_X = 1 << 48
 DEFAULT_MEMORY_BUDGET = 1 << 30
 MEMORY_BUDGET_ENV = "SIEVELAB_MEMORY_BUDGET"
 
 
-def memory_budget(override: int | None = None) -> int:
-    """Effective memory budget in bytes (argument, else env var, else 1 GiB)."""
-    if override is not None:
-        return override
+def memory_budget() -> int:
+    """Memory budget in bytes: SIEVELAB_MEMORY_BUDGET if set, else 1 GiB."""
     return int(os.environ.get(MEMORY_BUDGET_ENV, DEFAULT_MEMORY_BUDGET))
 
 
@@ -62,15 +64,6 @@ class LpfCensus:
     survivors: int
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Per-integer classification of [lo, hi): least prime factor < z, 0 if none."""
-
-    lo: int
-    hi: int
-    lpf_marks: list[int]
-
-
 def _prime_table_bytes(limit: int) -> int:
     """Upper bound on the bytes of build_prime_table(limit): its odd flags and
     the tuple of primes it returns.
@@ -86,20 +79,20 @@ def _prime_table_bytes(limit: int) -> int:
     return (limit + 1) // 2 + pi_bound * (8 + sys.getsizeof(limit))
 
 
-def build_prime_table(limit: int, *, budget: int | None = None) -> PrimeTable:
+def build_prime_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes over the odd integers up to limit, plus 2.
 
     Raises ResourceLimitError when the odd flags plus the tuple of primes
-    would exceed the memory budget (override with the SIEVELAB_MEMORY_BUDGET
+    would exceed the memory budget (set with the SIEVELAB_MEMORY_BUDGET
     environment variable).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     need = _prime_table_bytes(limit)
-    if need > memory_budget(budget):
+    budget = memory_budget()
+    if need > budget:
         raise ResourceLimitError(
-            f"prime table to {limit} needs about {need} bytes, "
-            f"budget is {memory_budget(budget)}"
+            f"prime table to {limit} needs about {need} bytes, budget is {budget}"
         )
     if limit < 2:
         return PrimeTable(limit, ())
@@ -275,22 +268,3 @@ def count_lpf(x: int, p: int, table: PrimeTable) -> int:
     _check_x(x)
     return survivor_count(x // p, p, table)
 
-
-def classify_segment(lo: int, hi: int, z: int, table: PrimeTable) -> Segment:
-    """Per-integer least-prime-factor marks for [lo, hi), sifting below z.
-
-    Independent of any other segment and of the wheel-2 layout of the counting
-    pass; intended for oracle-grade inspection of small windows, not for bulk
-    counting.  The window is capped at DEFAULT_SEGMENT_SIZE integers.
-    """
-    if not 1 <= lo <= hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi})")
-    if hi - lo > DEFAULT_SEGMENT_SIZE:
-        raise ValueError(f"segment [{lo}, {hi}) exceeds {DEFAULT_SEGMENT_SIZE} integers")
-    marks = [0] * (hi - lo)
-    for p in sifting_primes(table, z):
-        start = p if p >= lo else ((lo + p - 1) // p) * p
-        for m in range(start, hi, p):
-            if marks[m - lo] == 0:
-                marks[m - lo] = p
-    return Segment(lo, hi, marks)

@@ -108,18 +108,30 @@ def test_sweep_invalid_point_is_config_error(capsys):
     assert "configuration error" in err
 
 
-@pytest.mark.parametrize("size", ["-5", "0"])
-def test_non_positive_segment_size_is_config_error(tmp_path, capsys, size):
-    argv = ["sweep", "--x", "1000", "--z", "10", "--no-moebius-check"]
-    code, out, err = run_cli(capsys, *argv, "--segment-size", size)
-    assert (code, out) == (2, "")
-    assert "segment size" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-identities", "--limit", "100"],
+        ["sweep", "--x", "1000", "--z", "10"],
+        ["blowup-probe", "--z-max", "10", "--x", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_max_pi_z_flag_exits_2_before_any_work(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-pi-z", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-pi-z: invalid non_negative_int value: '-1'" in captured.err
 
+
+def test_negative_max_pi_z_config_key_exits_2_before_any_work(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"segment_size = {size}\n")
-    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    cfg.write_text("x = 1000\nz = 10\nmax_pi_z = -1\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert "segment size" in err
+    assert "expected an integer >= 0, got '-1'" in err
 
 
 def test_verify_identities_small(capsys):
@@ -185,6 +197,15 @@ def test_blowup_probe_cap_exit(capsys):
     assert any(r["status"] == "cap" and r["wall_time_s"] == "" for r in rows)
 
 
+def test_blowup_probe_max_pi_z_binds_past_fifteen_primes(capsys):
+    code, out, _ = run_cli(capsys, "blowup-probe", "--z-max", "60", "--x", "1000",
+                           "--max-pi-z", "16")
+    assert code == 0
+    status = {int(r["z"]): r["status"] for r in read_csv(out)}
+    # 16 sifting primes for z = 54..59, 17 at z = 60
+    assert [status[z] for z in range(53, 61)] == ["ok"] * 7 + ["cap"]
+
+
 def test_density_table_cmd(capsys):
     code, out, _ = run_cli(capsys, "density-table", "--z", "10")
     assert code == 0
@@ -228,9 +249,10 @@ def test_load_config_file_parses_comments(tmp_path):
 
 def test_load_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("xx = 16\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_config_file(str(cfg))
+    for line in ("xx = 16", "segment_size = 4096"):
+        cfg.write_text(line + "\n")
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_config_file(str(cfg))
 
 
 GOLDEN_VERIFY = """\
@@ -306,6 +328,7 @@ def test_verify_stops_at_the_first_failing_family(capsys, monkeypatch, index):
     [
         ("verify-identities", "--format=json"),
         ("verify-identities", "--out=report.txt"),
+        ("verify-identities", "--segment-size=1"),
         ("density-table", "--seed=1"),
         ("density-table", "--segment-size=1"),
         ("density-table", "--max-pi-z=1"),
@@ -314,6 +337,7 @@ def test_verify_stops_at_the_first_failing_family(capsys, monkeypatch, index):
         ("blowup-probe", "--seed=1"),
         ("blowup-probe", "--segment-size=1"),
         ("sweep", "--seed=1"),
+        ("sweep", "--segment-size=1"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(

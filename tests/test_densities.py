@@ -11,13 +11,10 @@ from sievelab.densities import (
     harmonic_lower_bound_check,
     iter_density_identity,
     iter_harmonic_chain,
-    lpf_density,
-    lpf_main_term,
     mertens_product,
-    sift_main_term,
 )
 from sievelab.highprec import ln_decimal
-from sievelab.sieve import build_prime_table, count_lpf
+from sievelab.sieve import build_prime_table
 
 
 def test_mertens_product_examples(table_1k):
@@ -37,12 +34,6 @@ def test_mertens_product_non_increasing(table_1k):
         cur = mertens_product(z, table_1k)
         assert cur <= prev
         prev = cur
-
-
-def test_lpf_density_examples(table_1k):
-    assert lpf_density(2, table_1k) == Fraction(1, 2)
-    assert lpf_density(3, table_1k) == Fraction(1, 6)
-    assert lpf_density(7, table_1k) == Fraction(4, 105)
 
 
 def test_density_identity_examples(table_1k):
@@ -65,33 +56,6 @@ def test_density_partial_sums_increase_toward_one(table_1k):
     sums = [lhs for _, lhs, _, _ in rows]
     assert all(a < b for a, b in zip(sums, sums[1:]))
     assert all(s < 1 for s in sums)
-
-
-def test_lpf_main_term_examples(table_100k):
-    assert lpf_main_term(10**4, 7, table_100k) == Fraction(8000, 21)
-    assert count_lpf(10**4, 7, table_100k) == 381
-    assert lpf_main_term(12345, 2, table_100k) == Fraction(12345, 2)
-    assert lpf_main_term(0, 13, table_100k) == 0
-
-
-def test_lpf_main_term_linearity(table_1k):
-    for c in (2, 7, 100):
-        assert lpf_main_term(c * 123, 5, table_1k) == c * lpf_main_term(123, 5, table_1k)
-
-
-def test_sift_main_term_examples(table_1k):
-    assert sift_main_term(35, 10, table_1k) == 27
-    assert sift_main_term(70, 10, table_1k) == 54
-    for x in (1, 10, 999):
-        assert sift_main_term(x, 2, table_1k) == 0
-
-
-def test_sift_main_term_equals_product_route(table_1k):
-    rng = random.Random(41)
-    for _ in range(25):
-        x = rng.randrange(0, 10**6)
-        z = rng.randrange(2, 500)
-        assert sift_main_term(x, z, table_1k) == x * (1 - mertens_product(z, table_1k))
 
 
 def test_harmonic_chain_examples(table_1k):
@@ -131,7 +95,8 @@ def test_harmonic_chain_logs_match_direct_ln_over_full_range():
 def test_density_table_rows(table_1k):
     dt = build_density_table(10, table_1k)
     assert [e.p for e in dt.entries] == [2, 3, 5, 7]
-    assert dt.entries[-1].g_p == Fraction(4, 105)
+    g = [Fraction(1, 2), Fraction(1, 6), Fraction(1, 15), Fraction(4, 105)]
+    assert [e.g_p for e in dt.entries] == g
     assert dt.entries[-1].partial_sum == Fraction(27, 35)
     assert dt.entries[-1].mertens_below_p == Fraction(4, 15)
 
@@ -142,7 +107,7 @@ def test_rationals_stay_reduced(table_1k):
         z = rng.randrange(2, 300)
         for q in (
             mertens_product(z, table_1k),
-            sift_main_term(rng.randrange(1, 10**6), z, table_1k),
+            density_identity_check(z, table_1k)[0],
         ):
             assert q.denominator > 0
             import math

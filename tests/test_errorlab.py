@@ -116,13 +116,6 @@ def test_run_sweep_powers_of_two(table_100k):
     assert records == run_sweep(cfg, table_100k)  # deterministic
 
 
-def test_run_sweep_independent_of_segment_size(table_100k):
-    xs = (1000, 65_536, 99_991)
-    baseline = run_sweep(SweepConfig(x_values=xs), table_100k)
-    for size in (512, 4_096, 1 << 22):
-        assert run_sweep(SweepConfig(x_values=xs, segment_size=size), table_100k) == baseline
-
-
 def test_chebyshev_worked_examples(table_1k):
     rec = chebyshev_check(100, table_1k)
     assert rec == ChebyshevRecord(

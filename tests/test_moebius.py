@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sievelab.errors import CapExceededError, DivisorOverflowError
+from sievelab.errors import CapExceededError
 from sievelab.moebius import (
     _signed_subset_products,
     frac_bound_b3,
@@ -45,11 +45,20 @@ def test_enumerate_divisors_term_count_doubles():
         assert sum(1 for _ in _signed_subset_products(primes[:k])) == 1 << k
 
 
-def test_enumerate_divisors_overflow(table_1k):
-    # 17 sifting primes, within the cap of 30, but the product of the first
-    # 16 exceeds 2^64
-    with pytest.raises(DivisorOverflowError):
-        legendre_sum(1000, 60, table_1k, max_pi_z=30)
+def test_max_pi_z_binds_past_fifteen_primes(table_1k):
+    # 17 sifting primes: divisors past 2^64 are plain Python ints
+    assert legendre_sum(1000, 60, table_1k, max_pi_z=17) == survivor_count(1000, 60, table_1k)
+
+
+def test_default_cap_refuses_sixteen_primes(table_1k):
+    with pytest.raises(CapExceededError, match="16 sifting primes .*\\(cap 15\\)"):
+        legendre_sum(1000, 54, table_1k)
+    # the remainder enumerates the primes below its largest sifting prime
+    with pytest.raises(CapExceededError, match="\\(cap 15\\)"):
+        frac_remainder_sum(1000, 60, table_1k)
+    assert frac_remainder_sum(1000, 54, table_1k) == (
+        survivor_count(1000, 54, table_1k) - 1000 * mertens_product(54, table_1k)
+    )
 
 
 def test_legendre_sum_examples(table_1k):

@@ -9,7 +9,6 @@ import oracles
 from sievelab.errors import ResourceLimitError
 from sievelab.sieve import (
     build_prime_table,
-    classify_segment,
     count_lpf,
     lpf_census,
     prime_count,
@@ -43,24 +42,28 @@ def test_build_prime_table_rejects_bad_limit():
         build_prime_table(0)
 
 
-def test_build_prime_table_memory_budget():
+def test_build_prime_table_memory_budget(monkeypatch):
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "100")
     with pytest.raises(ResourceLimitError):
-        build_prime_table(10_000, budget=100)
+        build_prime_table(10_000)
 
 
-def test_build_prime_table_budget_counts_the_prime_tuple():
+def test_build_prime_table_budget_counts_the_prime_tuple(monkeypatch):
     # 2 MB covers the odd flags (0.5 MB) but not the 78498 primes as ints
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", str(2 * 10**6))
     with pytest.raises(ResourceLimitError):
-        build_prime_table(10**6, budget=2 * 10**6)
-    assert len(build_prime_table(10**6, budget=4 * 10**6).primes) == 78498
+        build_prime_table(10**6)
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", str(4 * 10**6))
+    assert len(build_prime_table(10**6).primes) == 78498
 
 
 def test_memory_budget_env_override(monkeypatch):
     monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "100")
     with pytest.raises(ResourceLimitError):
         build_prime_table(10_000)
-    # explicit budget argument wins over the environment
-    assert build_prime_table(10_000, budget=1 << 20).primes[0] == 2
+    # unset, the budget is the 1 GiB default
+    monkeypatch.delenv("SIEVELAB_MEMORY_BUDGET")
+    assert build_prime_table(10_000).primes[0] == 2
 
 
 def test_prime_count_examples(table_1k):
@@ -123,6 +126,7 @@ def test_lpf_census_counts_zero_above_x(table_1k):
 def test_count_lpf_examples(table_1k):
     assert count_lpf(10, 2, table_1k) == 5
     assert count_lpf(100, 7, table_1k) == 4
+    assert count_lpf(10**4, 7, table_1k) == 381  # main term 10^4 * 4/105 = 8000/21
     assert count_lpf(10, 11, table_1k) == 0
 
 
@@ -182,26 +186,6 @@ def test_census_independent_of_segment_size(table_1k):
         assert c.counts == baseline.counts
         assert c.survivors == baseline.survivors
     assert survivor_count(50_000, 100, table_1k, segment_size=777) == baseline.survivors
-
-
-def test_classify_segment_matches_trial_division(table_1k):
-    seg = classify_segment(90, 131, 12, table_1k)
-    for n in range(90, 131):
-        lpf = oracles.least_prime_factor(n)
-        expected = lpf if lpf < 12 else 0
-        assert seg.lpf_marks[n - 90] == expected, n
-
-
-def test_classify_segment_marks_each_integer_once(table_1k):
-    # every cell ends up either a survivor mark or the unique least prime factor
-    seg = classify_segment(1, 500, 20, table_1k)
-    for n in range(1, 500):
-        mark = seg.lpf_marks[n - 1]
-        if mark:
-            assert n % mark == 0
-            assert all(n % p for p in sifting_primes(table_1k, mark))
-        else:
-            assert all(n % p for p in sifting_primes(table_1k, 20) if p <= n or n == 1)
 
 
 def test_census_rejects_bad_arguments(table_1k):
