@@ -11,28 +11,12 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from . import report
-from .densities import (
-    build_density_table,
-    iter_density_identity,
-    iter_harmonic_chain,
-    mertens_product,
-)
+from . import identities, report
+from .densities import build_density_table
 from .errorlab import SweepConfig, chebyshev_check, legendre_blowup_probe, run_sweep
 from .errors import CapExceededError, ResourceLimitError
-from .moebius import (
-    DEFAULT_MAX_PI_Z,
-    frac_remainder_sum,
-    legendre_sum,
-    lpf_count_via_moebius,
-)
-from .sieve import (
-    build_prime_table,
-    count_lpf,
-    lpf_census,
-    sifting_primes,
-    survivor_count,
-)
+from .moebius import DEFAULT_MAX_PI_Z, _check_enumeration
+from .sieve import build_prime_table, sifting_primes
 
 DEFAULT_SEED = 1729
 
@@ -184,71 +168,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _identity_families(limit: int, args) -> list[tuple[str, Iterator[tuple[str, bool]]]]:
     """The families verify-identities checks, in order, each a stream of
-    (where, holds) pairs.  The streams draw from one seeded rng as they are
-    consumed, so the draws depend only on the checks run before them."""
+    (where, holds) pairs over seeded samples.  The samples are drawn from one
+    rng as the checks consume them, so the draws depend only on the checks
+    run before them."""
     rng = random.Random(args.seed)
     table = build_prime_table(max(limit, 31))
     z_cap = min(31, limit + 1)
+    # the largest enumeration of any family: the Legendre sum at z = z_cap
+    _check_enumeration(sifting_primes(table, z_cap), args.max_pi_z)
 
-    def partition():
-        # survivors + sum of class sizes == x, censuses at mixed z
+    def draw_x() -> int:
+        return rng.randrange(1, limit + 1)
+
+    def mixed_z():
         for _ in range(40):
-            x = rng.randrange(1, limit + 1)
-            z = max(2, rng.choice([2, min(x + 1, limit), rng.randrange(2, limit + 2)]))
-            c = lpf_census(x, z, table)
-            yield f"(x={x}, z={z})", (
-                c.survivors + sum(n for _, n in c.counts) == x
-                and c.survivors == survivor_count(x, z, table)
-            )
+            x = draw_x()
+            yield x, max(2, rng.choice([2, min(x + 1, limit), rng.randrange(2, limit + 2)]))
 
-    def class_recursion():
-        # class sizes by two routes: census versus the per-prime recursion
-        for _ in range(5):
-            x = rng.randrange(1, limit + 1)
-            counts = dict(lpf_census(x, z_cap, table).counts)
-            for p in list(counts)[:3]:
-                yield f"(x={x}, p={p})", count_lpf(x, p, table) == counts[p]
-
-    def legendre():
-        # full Möbius sum equals the sieve count
-        for z in range(2, z_cap + 1):
-            for _ in range(3):
-                x = rng.randrange(1, limit + 1)
-                total = legendre_sum(x, z, table, max_pi_z=args.max_pi_z)
-                yield f"(x={x}, z={z})", total == survivor_count(x, z, table)
-
-    def per_prime():
-        for p in sifting_primes(table, z_cap):
-            for _ in range(3):
-                x = rng.randrange(1, limit + 1)
-                size = lpf_count_via_moebius(x, p, table, max_pi_z=args.max_pi_z)
-                yield f"(x={x}, p={p})", size == count_lpf(x, p, table)
-
-    def telescoping():
-        for r, _, _, equal in iter_density_identity(min(limit, 10_000), table):
-            yield f"r={r}", equal
-
-    def remainder():
-        for _ in range(20):
-            x = rng.randrange(1, limit + 1)
-            z = rng.randrange(2, z_cap + 1)
-            lhs = survivor_count(x, z, table) - x * mertens_product(z, table)
-            yield f"(x={x}, z={z})", lhs == frac_remainder_sum(
-                x, z, table, max_pi_z=args.max_pi_z
-            )
-
-    def harmonic():
-        for z, rec in iter_harmonic_chain(min(limit, 10_000), table):
-            yield f"z={z}", z < 3 or rec.ordered
-
+    cap = args.max_pi_z
     return [
-        ("partition", partition()),
-        ("class recursion", class_recursion()),
-        ("Legendre sum", legendre()),
-        ("per-prime Möbius", per_prime()),
-        ("density telescoping", telescoping()),
-        ("exact remainder", remainder()),
-        ("harmonic chain", harmonic()),
+        ("partition", identities.partition(mixed_z(), table)),
+        # censuses at min(z_cap, 6): the classes of 2, 3 and 5 below z_cap
+        ("class recursion", identities.class_recursion(
+            ((draw_x(), min(z_cap, 6)) for _ in range(5)), table)),
+        ("Legendre sum", identities.legendre(
+            ((draw_x(), z) for z in range(2, z_cap + 1) for _ in range(3)), table, cap)),
+        ("per-prime Möbius", identities.per_prime(
+            ((draw_x(), p) for p in sifting_primes(table, z_cap) for _ in range(3)), table, cap)),
+        ("density telescoping", identities.telescoping(min(limit, 10_000), table)),
+        ("exact remainder", identities.remainder(
+            ((draw_x(), rng.randrange(2, z_cap + 1)) for _ in range(20)), table, cap)),
+        ("harmonic chain", identities.harmonic(min(limit, 10_000), table)),
     ]
 
 

@@ -10,7 +10,7 @@ import io
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Iterable, Sequence
 
 from .densities import DensityTable
 from .errorlab import ChebyshevRecord, ErrorRecord, ProbeRow
@@ -125,31 +125,16 @@ def density_rows(dt: DensityTable) -> list[dict[str, Any]]:
     ]
 
 
-def write_csv(rows: Iterable[dict[str, Any]], columns: Sequence[str], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if row[c] is None else row[c] for c in columns])
-
-
-def write_json(rows: Iterable[dict[str, Any]], columns: Sequence[str], stream: TextIO) -> None:
-    payload = [{c: row[c] for c in columns} for row in rows]
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
-
-
 def format_rows(rows: Iterable[dict[str, Any]], columns: Sequence[str], fmt: str) -> str:
     buf = io.StringIO()
     if fmt == "csv":
-        write_csv(rows, columns, buf)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(["" if row[c] is None else row[c] for c in columns])
     elif fmt == "json":
-        write_json(rows, columns, buf)
+        json.dump([{c: row[c] for c in columns} for row in rows], buf, indent=2)
+        buf.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return buf.getvalue()
-
-
-def read_csv(text: str) -> list[dict[str, str]]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    return [dict(zip(header, row)) for row in reader]

@@ -2,8 +2,11 @@
 
 Everything here works by direct enumeration or trial division and never calls
 into sievelab, so the tests compare two independent routes to each quantity.
+read_csv parses a CSV report back into rows with the csv module alone.
 """
 
+import csv
+import io
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -91,3 +94,10 @@ def fraction_to_decimal(q: Fraction, prec: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = prec
         return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def read_csv(text: str) -> list[dict[str, str]]:
+    """Rows of a CSV report as {column: field} dicts, by the csv module alone."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    return [dict(zip(header, row)) for row in reader]

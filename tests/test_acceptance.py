@@ -12,25 +12,17 @@ from math import isqrt
 
 import pytest
 
+from sievelab import identities
 from sievelab.cli import main
 from sievelab.densities import (
     density_identity_check,
     harmonic_lower_bound_check,
     iter_density_identity,
-    iter_harmonic_chain,
-    mertens_product,
 )
 from sievelab.errorlab import chebyshev_check, legendre_blowup_probe
-from sievelab.moebius import frac_remainder_sum, legendre_sum, lpf_count_via_moebius
-from sievelab.report import read_csv
-from sievelab.sieve import (
-    build_prime_table,
-    count_lpf,
-    lpf_census,
-    prime_count,
-    sifting_primes,
-    survivor_count,
-)
+from sievelab.moebius import frac_remainder_sum
+from sievelab.sieve import build_prime_table, prime_count, sifting_primes, survivor_count
+from oracles import read_csv
 
 SEED = 1729
 
@@ -64,25 +56,27 @@ def _sample_pairs(rng: random.Random, n: int, x_max: int) -> list[tuple[int, int
     return pairs
 
 
+def _checks_run(checks) -> int:
+    """Assert every (where, holds) check of a sievelab.identities family."""
+    count = 0
+    for where, holds in checks:
+        assert holds, where
+        count += 1
+    return count
+
+
 def test_criterion_1_partition_identity(table_10m):
     rng = random.Random(SEED)
     pairs = _sample_pairs(rng, 1000, 10_000_000)
     t0 = time.perf_counter()
-    for x, z in pairs:
-        census = lpf_census(x, z, table_10m)
-        assert census.survivors + sum(n for _, n in census.counts) == x, (x, z)
+    assert _checks_run(identities.partition(pairs, table_10m)) == 1000
     elapsed = time.perf_counter() - t0
 
-    # the census classes are the count_lpf values: re-derive a subsample of
-    # partitions entirely through the per-prime recursion route
-    for x, z in [p for p in pairs if p[1] <= 113][:20]:
-        census = dict(lpf_census(x, z, table_10m).counts)
-        total = 0
-        for p in sifting_primes(table_10m, z):
-            via_recursion = count_lpf(x, p, table_10m)
-            assert via_recursion == census[p], (x, z, p)
-            total += via_recursion
-        assert survivor_count(x, z, table_10m) + total == x, (x, z)
+    # the census classes are the count_lpf values: every class of a
+    # subsample, re-derived through the per-prime recursion route
+    subsample = [p for p in pairs if p[1] <= 113][:20]
+    classes = sum(len(sifting_primes(table_10m, z)) for _, z in subsample)
+    assert _checks_run(identities.class_recursion(subsample, table_10m)) == classes
 
     assert elapsed < 60, f"partition sweep took {elapsed:.1f}s"
     print(f"\nPASS criterion 1: partition identity exact on 1000 pairs, "
@@ -92,33 +86,29 @@ def test_criterion_1_partition_identity(table_10m):
 def test_criterion_2_legendre_equivalence(table_1m):
     rng = random.Random(SEED + 2)
     xs = [rng.randrange(1, 1_000_001) for _ in range(200)]
+    pairs = [(x, z) for x in xs for z in range(2, 32)]
     t0 = time.perf_counter()
-    for x in xs:
-        for z in range(2, 32):
-            assert legendre_sum(x, z, table_1m) == survivor_count(x, z, table_1m), (x, z)
+    assert _checks_run(identities.legendre(pairs, table_1m)) == 6000
     elapsed = time.perf_counter() - t0
     assert elapsed < 30, f"Legendre sweep took {elapsed:.1f}s"
     print(f"\nPASS criterion 2: Legendre sum = sieve count on "
-          f"{len(xs) * 30} pairs, z in [2, 31] ({elapsed:.1f}s)")
+          f"{len(pairs)} pairs, z in [2, 31] ({elapsed:.1f}s)")
 
 
 def test_criterion_3_per_prime_moebius(table_1m):
     rng = random.Random(SEED + 3)
     xs = [rng.randrange(1, 1_000_001) for _ in range(200)]
     primes = [p for p in table_1m.primes if p < 31]
-    for x in xs:
-        for p in primes:
-            assert lpf_count_via_moebius(x, p, table_1m) == count_lpf(x, p, table_1m), (x, p)
+    pairs = [(x, p) for x in xs for p in primes]
+    assert _checks_run(identities.per_prime(pairs, table_1m)) == 2000
     print(f"\nPASS criterion 3: per-prime Möbius identity exact on "
-          f"{len(xs) * len(primes)} pairs, p < 31")
+          f"{len(pairs)} pairs, p < 31")
 
 
 def test_criterion_4_density_telescoping(table_11k):
-    rows = list(iter_density_identity(10_000, table_11k))
-    assert len(rows) == 1229  # primes up to 1e4
-    for r, lhs, rhs, equal in rows:
-        assert equal and lhs == rhs, r
+    assert _checks_run(identities.telescoping(10_000, table_11k)) == 1229  # primes up to 1e4
     # identify the incremental rows with the pointwise operation on a sample
+    rows = list(iter_density_identity(10_000, table_11k))
     sample = [rows[0], rows[3], rows[24], rows[499], rows[999], rows[-1]]
     for r, lhs, rhs, equal in sample:
         assert density_identity_check(r, table_11k) == (lhs, rhs, True), r
@@ -127,17 +117,14 @@ def test_criterion_4_density_telescoping(table_11k):
 
 def test_criterion_5_exact_remainder(table_1m):
     rng = random.Random(SEED + 5)
-    worked = frac_remainder_sum(16, 4, table_1m)
-    assert worked == Fraction(-1, 3)
-    assert survivor_count(16, 4, table_1m) - 16 * mertens_product(4, table_1m) == worked
+    assert frac_remainder_sum(16, 4, table_1m) == Fraction(-1, 3)
+    assert _checks_run(identities.remainder([(16, 4)], table_1m)) == 1
 
     xs = [rng.randrange(1, 1_000_001) for _ in range(100)]
-    for x in xs:
-        for z in range(2, 32):
-            error = survivor_count(x, z, table_1m) - x * mertens_product(z, table_1m)
-            assert error == frac_remainder_sum(x, z, table_1m), (x, z)
+    pairs = [(x, z) for x in xs for z in range(2, 32)]
+    assert _checks_run(identities.remainder(pairs, table_1m)) == 3000
     print(f"\nPASS criterion 5: remainder decomposition exact on "
-          f"{len(xs) * 30} pairs plus the worked point (16, 4) -> -1/3")
+          f"{len(pairs)} pairs plus the worked point (16, 4) -> -1/3")
 
 
 def test_criterion_6_chebyshev_inclusion(table_1m):
@@ -159,12 +146,7 @@ def test_criterion_6_chebyshev_inclusion(table_1m):
 
 
 def test_criterion_7_harmonic_chain(table_11k):
-    seen = 0
-    for z, rec in iter_harmonic_chain(10_000, table_11k):
-        if z >= 3:
-            assert rec.ordered, z
-            seen += 1
-    assert seen == 9998
+    assert _checks_run(identities.harmonic(10_000, table_11k)) == 9999  # z in [2, 1e4]
     for z in (3, 10, 100, 1000, 9973, 10_000):
         assert harmonic_lower_bound_check(z, table_11k).ordered, z
     print("\nPASS criterion 7: harmonic chain strictly ordered for all z in [3, 1e4]")

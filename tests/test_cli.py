@@ -1,12 +1,14 @@
 import dataclasses
+import hashlib
 import json
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
 
-from sievelab import cli
+from sievelab import cli, densities, moebius, sieve
 from sievelab.cli import load_config_file, main, parse_x_spec, parse_z_spec
-from sievelab.report import read_csv
+from oracles import read_csv
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +274,31 @@ def test_verify_identities_golden_bytes(capsys):
     assert (code, out, err) == (0, GOLDEN_VERIFY, "")
 
 
+def test_verify_identities_draws_are_pinned():
+    # stdout prints counts only, which do not depend on the rng draws
+    lines = [
+        (f"{family}\t{where}", holds)
+        for family, checks in cli._identity_families(600, Namespace(seed=5, max_pi_z=15))
+        for where, holds in checks
+    ]
+    assert len(lines) == 903 and all(holds for _, holds in lines)
+    digest = hashlib.sha256("\n".join(line for line, _ in lines).encode()).hexdigest()
+    assert digest == "02c519deb9bcebe106b5ca333d7e5bd2ffac2055ae52b431703f71fae8b8bd0b"
+
+
+@pytest.mark.parametrize("max_pi_z, code", [("5", 3), ("9", 3), ("10", 0)])
+def test_verify_refuses_a_small_max_pi_z_before_any_check(capsys, max_pi_z, code):
+    # the Legendre family enumerates the 10 primes below min(31, limit + 1)
+    result, out, err = run_cli(capsys, "verify-identities", "--limit", "100",
+                               "--max-pi-z", max_pi_z)
+    assert result == code
+    if code == 3:
+        assert out == ""
+        assert f"10 sifting primes would enumerate 2^10 = 1024 divisors (cap {max_pi_z})" in err
+    else:
+        assert out.endswith("all identity families hold exactly\n")
+
+
 def _off_by_one(real):
     return lambda *args, **kwargs: real(*args, **kwargs) + 1
 
@@ -293,28 +320,29 @@ def _unordered(real):
     )
 
 
+# (family, the module that defines the broken route, the route, how to break it)
 _FAMILY_ROUTES = [
-    ("partition", "lpf_census", _one_survivor_too_many),
-    ("class recursion", "count_lpf", _off_by_one),
-    ("Legendre sum", "legendre_sum", _off_by_one),
-    ("per-prime Möbius", "lpf_count_via_moebius", _off_by_one),
-    ("density telescoping", "iter_density_identity", _unequal),
-    ("exact remainder", "frac_remainder_sum", _off_by_one),
-    ("harmonic chain", "iter_harmonic_chain", _unordered),
+    ("partition", sieve, "lpf_census", _one_survivor_too_many),
+    ("class recursion", sieve, "count_lpf", _off_by_one),
+    ("Legendre sum", moebius, "legendre_sum", _off_by_one),
+    ("per-prime Möbius", moebius, "lpf_count_via_moebius", _off_by_one),
+    ("density telescoping", densities, "iter_density_identity", _unequal),
+    ("exact remainder", moebius, "frac_remainder_sum", _off_by_one),
+    ("harmonic chain", densities, "iter_harmonic_chain", _unordered),
 ]
 
 
-@pytest.mark.parametrize("index", range(len(_FAMILY_ROUTES)), ids=[f[1] for f in _FAMILY_ROUTES])
+@pytest.mark.parametrize("index", range(len(_FAMILY_ROUTES)), ids=[f[2] for f in _FAMILY_ROUTES])
 def test_verify_stops_at_the_first_failing_family(capsys, monkeypatch, index):
-    family, route, breaker = _FAMILY_ROUTES[index]
-    broken = breaker(getattr(cli, route))
+    family, module, route, breaker = _FAMILY_ROUTES[index]
+    broken = breaker(getattr(module, route))
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return broken(*args, **kwargs)
 
-    monkeypatch.setattr(cli, route, counted)
+    monkeypatch.setattr(module, route, counted)
     code, out, err = run_cli(capsys, "verify-identities", "--limit", "600", "--seed", "5")
     assert code == 1
     assert err.splitlines()[0].startswith(f"FAIL {family} at ")

@@ -11,8 +11,8 @@ from sievelab.report import (
     chebyshev_row,
     error_row,
     format_rows,
-    read_csv,
 )
+from oracles import read_csv
 
 
 @pytest.fixture(scope="module")
