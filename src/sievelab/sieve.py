@@ -10,10 +10,18 @@ about 2 * segment_size integers.  The class of 2 is the x // 2 even integers
 and is counted in closed form; each odd prime marks its odd multiples with
 stride p in index space.  Primes above sqrt(x) never own a composite <= x,
 which lets the census switch to prime counting for the large sifting primes
-instead of touching the segment array.  Two caps bound a run, each checked
-before any sieving: MAX_SIEVE_X on x, and the memory budget (the
-SIEVELAB_MEMORY_BUDGET environment variable) on the prime table and the
-segment buffer.
+instead of touching the segment array.
+
+survivor_count has two routes, chosen by x alone.  Below DP_MIN_X = 2^20 it
+runs the survivor-only segmented pass, a single segment at that size.  From
+DP_MIN_X on it evaluates Legendre's sum as Lucy Hedgehog's dynamic programme
+over the O(sqrt x) values x // k, in O(x^(3/4)) steps.  lpf_census always
+sieves, so at large x its survivors and survivor_count are independent
+routes.
+
+Two caps bound a run, each checked before any sieving: MAX_SIEVE_X on x, and
+the memory budget (the SIEVELAB_MEMORY_BUDGET environment variable) on the
+prime table, the segment buffer and the DP's two lists.
 """
 
 import os
@@ -26,11 +34,19 @@ from math import ceil, isqrt, log
 from .errors import ResourceLimitError
 
 # Bytes per segment buffer, one odd integer each: 1 MiB covers about 2^21
-# integers.  survivor_count and lpf_census take it as segment_size, so tests
-# can force segment boundaries; no caller outside them sets it.
+# integers.  lpf_census takes it as segment_size, so tests can force segment
+# boundaries; no caller outside them sets it.
 DEFAULT_SEGMENT_SIZE = 1 << 20
-# Feasibility cap on x: 10^8 integers take about half a second, so a pass
-# near 2^48 already takes weeks; a larger x is refused up front.
+# survivor_count uses the DP from here on.  The segmented pass grows as x,
+# the DP as x^(3/4), and the crossover depends on z: the DP wins from 2^19 on
+# at z = 29, but only from about 2^20.5 on at z = sqrt(x) (pass against DP on
+# CPython 3.11, 2 vCPUs: 3.4 against 4.2 ms at 2^20, 6.1 against 4.2 ms at
+# 2^21).  Below 2^20 the pass is one segment of at most 2^19 bytes; a larger
+# threshold lets that segment grow on top of the DP's freed ints
+# (BENCH_7.json measures 2^19, 2^20 and 2^21).
+DP_MIN_X = 1 << 20
+# Feasibility cap on x: lpf_census sieves 10^8 integers in under a second, so
+# a census near 2^48 takes weeks; a larger x is refused up front.
 MAX_SIEVE_X = 1 << 48
 DEFAULT_MEMORY_BUDGET = 1 << 30
 MEMORY_BUDGET_ENV = "SIEVELAB_MEMORY_BUDGET"
@@ -193,30 +209,77 @@ def _sieve_pass(
     return unmarked, counts
 
 
-def survivor_count(
-    x: int,
-    z: int,
-    table: PrimeTable,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> int:
+def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
+    """survivor_count(x, z, table) for x >= 1 by Lucy Hedgehog's programme.
+
+    S(v) counts the integers in [2, v] that are prime or have no factor
+    among the primes sifted so far; it starts at v - 1 and is kept only at
+    the values x // k: small[v] for v <= r = isqrt(x), large[k] = S(x // k)
+    for k <= r.  Sifting by p removes p*m for every m in [p, v // p] with no
+    prime factor below p, S(v // p) - S(p - 1) of them, from each S(v) with
+    v >= p^2.  Like an in-place pass over large by ascending k, then small
+    by descending v, every update of a round reads values of the previous
+    round, so each range is rebuilt from slices of the old lists.  After the
+    primes p < z with p <= r, S(x) counts the primes <= x and the composites
+    with no factor below z, so the survivors are 1 + S(x) - pi(min(z - 1, x)).
+
+    Raises ResourceLimitError when the lists would exceed the memory budget:
+    two of r + 1 ints, and while a range is rebuilt its new ints and slices,
+    up to 4 (r + 1) list slots and ints no larger than x at the peak
+    (tracemalloc measured 2.7 to 3.7 of them from x = 2^19 to 10^9).
+    """
+    r = isqrt(x)
+    need = 4 * (r + 1) * (8 + sys.getsizeof(x))
+    budget = memory_budget()
+    if need > budget:
+        raise ResourceLimitError(
+            f"counting lists for x = {x} need about {need} bytes, budget is {budget}"
+        )
+    small = list(range(-1, r))
+    large = [0, *(x // k - 1 for k in range(1, r + 1))]
+    for p in table.primes[: bisect_right(table.primes, min(z - 1, r))]:
+        below = small[p - 1]
+        p2 = p * p
+        k_max = min(r, x // p2)
+        # x // (k p) is large[k p] while k p <= r, else small[(x // p) // k]
+        k_mid = min(k_max, r // p)
+        large[1 : k_mid + 1] = [
+            a - b + below for a, b in zip(large[1 : k_mid + 1], large[p : k_mid * p + 1 : p])
+        ]
+        xp = x // p
+        large[k_mid + 1 : k_max + 1] = [
+            a - small[xp // k] + below
+            for k, a in zip(range(k_mid + 1, k_max + 1), large[k_mid + 1 : k_max + 1])
+        ]
+        if p2 <= r:
+            # the lane from j in [p^2, p^2 + p) holds v = j, j + p, ..., whose
+            # v // p run p, p + 1, ...; drop[i] is S(p + i) - S(p - 1)
+            drop = [s - below for s in small[p : r // p + 1]]
+            for j in range(p2, p2 + p):
+                small[j::p] = [s - d for s, d in zip(small[j::p], drop)]
+    return 1 + large[1] - prime_count(min(z - 1, x), table)
+
+
+def survivor_count(x: int, z: int, table: PrimeTable) -> int:
     """Number of integers in [1, x] with no prime factor below z.
 
-    Only primes up to sqrt(x) are sieved; any integer removed by a larger
-    sifting prime must be that prime itself, so the tail is a prime-count
-    difference rather than a segment pass.
+    From DP_MIN_X on this is _legendre_dp.  Below it only primes up to
+    sqrt(x) are sieved; any integer removed by a larger sifting prime must be
+    that prime itself, so the tail is a prime-count difference rather than a
+    segment pass.
     """
     if z < 2:
         raise ValueError(f"sifting level must be >= 2, got {z}")
     if z > table.limit + 1:
         raise ValueError(f"sifting level {z} exceeds table limit {table.limit} + 1")
     _check_x(x)
-    _check_segment_size(segment_size)
     if x < 1:
         return 0
+    if x >= DP_MIN_X:
+        return _legendre_dp(x, z, table)
     s = min(z - 1, isqrt(x))
     primes = table.primes[: bisect_right(table.primes, s)]
-    unmarked, _ = _sieve_pass(x, primes, segment_size, want_counts=False)
+    unmarked, _ = _sieve_pass(x, primes, DEFAULT_SEGMENT_SIZE, want_counts=False)
     if z - 1 > s:
         hi = min(z - 1, x)
         if hi > s:

@@ -235,6 +235,17 @@ def test_memory_budget_env_var(capsys, monkeypatch):
     assert "resource cap" in err
 
 
+def test_memory_budget_binds_on_the_counting_route(capsys, monkeypatch):
+    # 4 (10^4 + 1) slots and ints of 36 bytes: 1.4 MB against a 500 kB budget
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "500000")
+    code, out, err = run_cli(
+        capsys, "sweep", "--x", "100000000", "--z", "18", "--no-moebius-check"
+    )
+    assert code == 3
+    assert "resource cap" in err
+    assert out == ""
+
+
 def test_memory_budget_counts_the_chebyshev_prime_table(capsys, monkeypatch):
     monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "2000000")
     code, out, err = run_cli(capsys, "chebyshev", "--x-max", "1000000")

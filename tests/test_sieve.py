@@ -11,6 +11,8 @@ from sievelab.sieve import (
     build_prime_table,
     count_lpf,
     lpf_census,
+    DP_MIN_X,
+    _legendre_dp,
     prime_count,
     sifting_primes,
     survivor_count,
@@ -185,7 +187,7 @@ def test_census_independent_of_segment_size(table_1k):
         c = lpf_census(50_000, 100, table_1k, segment_size=size)
         assert c.counts == baseline.counts
         assert c.survivors == baseline.survivors
-    assert survivor_count(50_000, 100, table_1k, segment_size=777) == baseline.survivors
+    assert survivor_count(50_000, 100, table_1k) == baseline.survivors
 
 
 def test_census_rejects_bad_arguments(table_1k):
@@ -200,8 +202,20 @@ def test_census_rejects_bad_arguments(table_1k):
     for size in (0, -5):
         with pytest.raises(ValueError):
             lpf_census(10, 4, table_1k, segment_size=size)
-        with pytest.raises(ValueError):
-            survivor_count(10, 4, table_1k, segment_size=size)
+
+
+def test_survivor_count_routes_agree_at_the_threshold_and_at_1e8(table_1m):
+    # from DP_MIN_X on survivor_count runs the DP and lpf_census the sieve
+    for x in (DP_MIN_X - 1, DP_MIN_X, 10**8):
+        for z in (2, 3, 31, isqrt(x), isqrt(x) + 1):
+            assert survivor_count(x, z, table_1m) == lpf_census(x, z, table_1m).survivors, (x, z)
+
+
+def test_dp_lists_are_held_to_the_memory_budget(table_1k, monkeypatch):
+    monkeypatch.delenv("SIEVELAB_MEMORY_BUDGET", raising=False)
+    # 4 (2^24 + 1) slots and ints of 40 bytes: 2.7 GB against the 1 GiB default
+    with pytest.raises(ResourceLimitError, match="counting lists"):
+        survivor_count(1 << 48, 3, table_1k)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -213,6 +227,13 @@ def test_census_oracle_property(x, z):
     assert dict(c.counts) == counts
     assert c.survivors == survivors
     assert c.survivors + sum(n for _, n in c.counts) == x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=st.integers(1, 3_000), z=st.integers(2, 3_001))
+def test_legendre_dp_oracle_property(x, z):
+    # survivor_count only takes the DP route from DP_MIN_X on
+    assert _legendre_dp(x, z, _PROPERTY_TABLE) == oracles.survivors(x, z)
 
 
 _PROPERTY_TABLE = build_prime_table(3_000)
