@@ -31,6 +31,8 @@ def parse_x_spec(spec: str) -> list[int]:
             lo, sep, hi = spec[len(prefix):].partition("..")
             if not sep:
                 raise ValueError(f"bad range in x spec {spec!r}, expected a..b")
+            if int(lo) < 0:
+                raise ValueError(f"negative exponent in x spec {spec!r}")
             return [base**k for k in range(int(lo), int(hi) + 1)]
     return [int(tok) for tok in spec.split(",") if tok.strip()]
 
@@ -54,6 +56,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+_FORMATS = ("csv", "json")
+
+
+def _parse_format(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {text!r}")
+    return text
+
+
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -68,14 +79,14 @@ _SETTINGS = {
     "z": ("sqrt", str),
     "frac": (False, _parse_bool),
     "moebius_check": (True, _parse_bool),
-    "format": ("csv", str),
+    "format": ("csv", _parse_format),
     "out": (None, str),
     "max_pi_z": (DEFAULT_MAX_PI_Z, non_negative_int),
 }
 
 # Settings that are flags of more than one subcommand.
 _SHARED_FLAGS = {
-    "format": dict(choices=("csv", "json")),
+    "format": dict(choices=_FORMATS),
     "out": dict(metavar="PATH"),
     "max_pi_z": dict(
         type=non_negative_int,

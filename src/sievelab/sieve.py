@@ -5,12 +5,13 @@ p < z, the integers whose least prime factor is p; everything left over
 (1, the primes in [z, x], and composites with no factor below z) survives.
 Classification runs over fixed-size segments with bytearray slice marking, so
 the hot loops stay in C.  The layout is wheel-2: one segment byte per odd
-integer 2j + 1, so segment_size counts buffer bytes and one segment covers
-about 2 * segment_size integers.  The class of 2 is the x // 2 even integers
+integer 2j + 1, so SEGMENT_SIZE counts buffer bytes and one segment covers
+about 2 * SEGMENT_SIZE integers.  The class of 2 is the x // 2 even integers
 and is counted in closed form; each odd prime marks its odd multiples with
 stride p in index space.  Primes above sqrt(x) never own a composite <= x,
-which lets the census switch to prime counting for the large sifting primes
-instead of touching the segment array.
+so both sieving callers sieve only up to sqrt(x) and count the larger
+sifting primes up to x, one integer apiece, instead of touching the segment
+array.
 
 survivor_count has two routes, chosen by x alone.  Below DP_MIN_X = 2^20 it
 runs the survivor-only segmented pass, a single segment at that size.  From
@@ -19,24 +20,25 @@ over the O(sqrt x) values x // k, in O(x^(3/4)) steps.  lpf_census always
 sieves, so at large x its survivors and survivor_count are independent
 routes.
 
-Two caps bound a run, each checked before any sieving: MAX_SIEVE_X on x, and
-the memory budget (the SIEVELAB_MEMORY_BUDGET environment variable) on the
-prime table, the segment buffer and the DP's two lists.
+Two caps bound a run, each checked before any sieving: MAX_SIEVE_X on x and
+on the prime-table limit, and the memory budget (the SIEVELAB_MEMORY_BUDGET
+environment variable) on the prime table, the segment buffer and the DP's two
+lists.
 """
 
 import os
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import ceil, isqrt, log
 
 from .errors import ResourceLimitError
 
 # Bytes per segment buffer, one odd integer each: 1 MiB covers about 2^21
-# integers.  lpf_census takes it as segment_size, so tests can force segment
-# boundaries; no caller outside them sets it.
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# integers.  _sieve_pass reads it at call time, so tests can shrink it to
+# force segment boundaries.
+SEGMENT_SIZE = 1 << 20
 # survivor_count uses the DP from here on.  The segmented pass grows as x,
 # the DP as x^(3/4), and the crossover depends on z: the DP wins from 2^19 on
 # at z = 29, but only from about 2^20.5 on at z = sqrt(x) (pass against DP on
@@ -45,8 +47,9 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # threshold lets that segment grow on top of the DP's freed ints
 # (BENCH_7.json measures 2^19, 2^20 and 2^21).
 DP_MIN_X = 1 << 20
-# Feasibility cap on x: lpf_census sieves 10^8 integers in under a second, so
-# a census near 2^48 takes weeks; a larger x is refused up front.
+# Feasibility cap on x and on the prime-table limit: lpf_census sieves 10^8
+# integers in under a second, so a census near 2^48 takes weeks; a larger
+# value is refused up front.
 MAX_SIEVE_X = 1 << 48
 DEFAULT_MEMORY_BUDGET = 1 << 30
 MEMORY_BUDGET_ENV = "SIEVELAB_MEMORY_BUDGET"
@@ -55,6 +58,18 @@ MEMORY_BUDGET_ENV = "SIEVELAB_MEMORY_BUDGET"
 def memory_budget() -> int:
     """Memory budget in bytes: SIEVELAB_MEMORY_BUDGET if set, else 1 GiB."""
     return int(os.environ.get(MEMORY_BUDGET_ENV, DEFAULT_MEMORY_BUDGET))
+
+
+def _reserve(need: int, what: str) -> None:
+    """Refuse `what` when its estimated `need` in bytes exceeds the budget."""
+    budget = memory_budget()
+    if need > budget:
+        raise ResourceLimitError(f"{what} would take about {need} bytes, budget is {budget}")
+
+
+def _check_cap(n: int, what: str) -> None:
+    if n > MAX_SIEVE_X:
+        raise ResourceLimitError(f"{what} = {n} exceeds the 2^48 sieve cap")
 
 
 @dataclass(frozen=True)
@@ -98,18 +113,14 @@ def _prime_table_bytes(limit: int) -> int:
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes over the odd integers up to limit, plus 2.
 
-    Raises ResourceLimitError when the odd flags plus the tuple of primes
-    would exceed the memory budget (set with the SIEVELAB_MEMORY_BUDGET
-    environment variable).
+    Raises ResourceLimitError when limit exceeds MAX_SIEVE_X, or when the
+    odd flags plus the tuple of primes would exceed the memory budget (set
+    with the SIEVELAB_MEMORY_BUDGET environment variable).
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    need = _prime_table_bytes(limit)
-    budget = memory_budget()
-    if need > budget:
-        raise ResourceLimitError(
-            f"prime table to {limit} needs about {need} bytes, budget is {budget}"
-        )
+    _check_cap(limit, "prime table limit")
+    _reserve(_prime_table_bytes(limit), f"prime table to {limit}")
     if limit < 2:
         return PrimeTable(limit, ())
     # flags[j] stands for the odd integer 2j + 1
@@ -128,8 +139,6 @@ def prime_count(x: int, table: PrimeTable) -> int:
     """pi(x): number of primes <= x.  x must be covered by the table."""
     if x > table.limit:
         raise ValueError(f"prime_count({x}) out of range for table limit {table.limit}")
-    if x < 2:
-        return 0
     return bisect_right(table.primes, x)
 
 
@@ -146,22 +155,17 @@ def _require_prime(p: int, table: PrimeTable) -> None:
         raise ValueError(f"{p} is not a prime <= {table.limit}")
 
 
-def _check_x(x: int) -> None:
-    if x > MAX_SIEVE_X:
-        raise ResourceLimitError(f"x = {x} exceeds the 2^48 sieve cap")
+def _check_sifting(x: int, z: int, table: PrimeTable) -> None:
+    """The arguments survivor_count and lpf_census share: 2 <= z <= limit + 1
+    and x <= MAX_SIEVE_X."""
+    if z < 2:
+        raise ValueError(f"sifting level must be >= 2, got {z}")
+    if z > table.limit + 1:
+        raise ValueError(f"sifting level {z} exceeds table limit {table.limit} + 1")
+    _check_cap(x, "x")
 
 
-def _check_segment_size(segment_size: int) -> None:
-    if segment_size < 1:
-        raise ValueError(f"segment size must be >= 1 byte, got {segment_size}")
-
-
-def _sieve_pass(
-    x: int,
-    primes: tuple[int, ...],
-    segment_size: int,
-    want_counts: bool,
-) -> tuple[int, list[int]]:
+def _sieve_pass(x: int, primes: tuple[int, ...], want_counts: bool) -> tuple[int, list[int]]:
     """Mark multiples of `primes` over [1, x] in wheel-2 segments.
 
     `primes` is a prefix of the ascending primes, so 2 comes first when it is
@@ -177,14 +181,13 @@ def _sieve_pass(
         return x, counts
     counts[0] = x // 2
     n_odd = (x + 1) // 2
-    buffer = min(segment_size, n_odd)
-    if buffer > memory_budget():
-        raise ResourceLimitError(f"segment of {buffer} bytes exceeds the memory budget")
+    buffer = min(SEGMENT_SIZE, n_odd)
+    _reserve(buffer, "segment buffer")
     # longest marking lane is the p = 3 one, at most a third of a segment
     ones = b"\x01" * ((buffer + 2) // 3 + 1)
     unmarked = 0
-    for lo in range(0, n_odd, segment_size):
-        hi = min(lo + segment_size, n_odd)
+    for lo in range(0, n_odd, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, n_odd)
         length = hi - lo
         seg = bytearray(length)
         for i in range(1, len(primes)):
@@ -209,6 +212,21 @@ def _sieve_pass(
     return unmarked, counts
 
 
+def _sift(
+    x: int, z: int, table: PrimeTable, want_counts: bool
+) -> tuple[int, tuple[int, ...], list[int]]:
+    """Survivors of [1, x], x >= 1, for the primes below z by the segmented pass.
+
+    Only the primes up to min(z - 1, sqrt(x)) are sieved; any integer a
+    larger sifting prime removes is that prime itself, so the primes in
+    (sqrt(x), min(z - 1, x)] are subtracted as a prime count.  Returns the
+    survivors, the sieved primes and _sieve_pass's counts for them.
+    """
+    primes = table.primes[: bisect_right(table.primes, min(z - 1, isqrt(x)))]
+    unmarked, counts = _sieve_pass(x, primes, want_counts)
+    return unmarked - (prime_count(min(z - 1, x), table) - len(primes)), primes, counts
+
+
 def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     """survivor_count(x, z, table) for x >= 1 by Lucy Hedgehog's programme.
 
@@ -229,12 +247,7 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     (tracemalloc measured 2.7 to 3.7 of them from x = 2^19 to 10^9).
     """
     r = isqrt(x)
-    need = 4 * (r + 1) * (8 + sys.getsizeof(x))
-    budget = memory_budget()
-    if need > budget:
-        raise ResourceLimitError(
-            f"counting lists for x = {x} need about {need} bytes, budget is {budget}"
-        )
+    _reserve(4 * (r + 1) * (8 + sys.getsizeof(x)), f"counting lists for x = {x}")
     small = list(range(-1, r))
     large = [0, *(x // k - 1 for k in range(1, r + 1))]
     for p in table.primes[: bisect_right(table.primes, min(z - 1, r))]:
@@ -263,62 +276,33 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
 def survivor_count(x: int, z: int, table: PrimeTable) -> int:
     """Number of integers in [1, x] with no prime factor below z.
 
-    From DP_MIN_X on this is _legendre_dp.  Below it only primes up to
-    sqrt(x) are sieved; any integer removed by a larger sifting prime must be
-    that prime itself, so the tail is a prime-count difference rather than a
-    segment pass.
+    From DP_MIN_X on this is _legendre_dp, below it the survivor-only
+    segmented pass.
     """
-    if z < 2:
-        raise ValueError(f"sifting level must be >= 2, got {z}")
-    if z > table.limit + 1:
-        raise ValueError(f"sifting level {z} exceeds table limit {table.limit} + 1")
-    _check_x(x)
+    _check_sifting(x, z, table)
     if x < 1:
         return 0
     if x >= DP_MIN_X:
         return _legendre_dp(x, z, table)
-    s = min(z - 1, isqrt(x))
-    primes = table.primes[: bisect_right(table.primes, s)]
-    unmarked, _ = _sieve_pass(x, primes, DEFAULT_SEGMENT_SIZE, want_counts=False)
-    if z - 1 > s:
-        hi = min(z - 1, x)
-        if hi > s:
-            unmarked -= prime_count(hi, table) - prime_count(s, table)
-    return unmarked
+    return _sift(x, z, table, want_counts=False)[0]
 
 
-def lpf_census(
-    x: int,
-    z: int,
-    table: PrimeTable,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> LpfCensus:
+def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:
     """Classify [1, x] by least prime factor below z.
 
     The result satisfies survivors + sum(counts) == x exactly: the classes
-    are disjoint and exhaustive, and 1 always survives.
+    are disjoint and exhaustive, and 1 always survives.  The class of a
+    sifting prime above sqrt(x) is that prime alone when it is <= x, and
+    empty beyond x.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if z < 2:
-        raise ValueError(f"sifting level must be >= 2, got {z}")
-    _check_x(x)
-    _check_segment_size(segment_size)
-    sift = sifting_primes(table, z)
-    s = min(z - 1, isqrt(x))
-    n_sieved = bisect_right(sift, s)
-    unmarked, sieved_counts = _sieve_pass(
-        x, sift[:n_sieved], segment_size, want_counts=True
-    )
-    counts: list[tuple[int, int]] = list(zip(sift[:n_sieved], sieved_counts))
-    # Primes in (sqrt(x), z) own exactly one integer apiece (themselves) when
-    # they are <= x, and none at all beyond x.
-    tail = sift[n_sieved:]
+    _check_sifting(x, z, table)
+    survivors, primes, sieved = _sift(x, z, table, want_counts=True)
+    tail = table.primes[len(primes) : bisect_left(table.primes, z)]
     singles = bisect_right(tail, x)
-    counts.extend(zip(tail[:singles], repeat(1)))
-    counts.extend(zip(tail[singles:], repeat(0)))
-    return LpfCensus(x, z, counts, unmarked - singles)
+    counts = [*zip(primes, sieved), *zip(tail, chain(repeat(1, singles), repeat(0)))]
+    return LpfCensus(x, z, counts, survivors)
 
 
 def count_lpf(x: int, p: int, table: PrimeTable) -> int:
@@ -328,6 +312,6 @@ def count_lpf(x: int, p: int, table: PrimeTable) -> int:
     cofactor m has no prime factor below p, m = 1 included.
     """
     _require_prime(p, table)
-    _check_x(x)
+    _check_cap(x, "x")
     return survivor_count(x // p, p, table)
 

@@ -24,6 +24,9 @@ def test_parse_x_spec():
     assert parse_x_spec("pow10:2..4") == [100, 1000, 10000]
     with pytest.raises(ValueError):
         parse_x_spec("pow10:2")
+    for spec in ("pow10:-1..2", "pow2:-2..5"):
+        with pytest.raises(ValueError, match="negative exponent"):
+            parse_x_spec(spec)
 
 
 def test_parse_z_spec():
@@ -108,6 +111,25 @@ def test_sweep_invalid_point_is_config_error(capsys):
     code, _, err = run_cli(capsys, "sweep", "--x", "16", "--z", "fixed:17")
     assert code == 2
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("z", ["sqrt", "fixed:3"])
+def test_sweep_negative_exponent_exits_2(capsys, z):
+    code, out, err = run_cli(capsys, "sweep", "--x", "pow10:-1..2", "--z", z)
+    assert (code, out) == (2, "")
+    assert "negative exponent" in err
+
+
+def test_sweep_config_format_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(limit):
+        raise AssertionError("the prime table was built")
+
+    monkeypatch.setattr(cli, "build_prime_table", no_work)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("x = 1000\nz = 10\nformat = xml\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "'xml'" in err
 
 
 @pytest.mark.parametrize(
@@ -226,6 +248,22 @@ def test_resource_cap_exit(capsys):
     code, _, err = run_cli(capsys, "verify-identities", "--limit", str(1 << 40))
     assert code == 3
     assert "resource cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chebyshev", "--x-max"],
+        ["verify-identities", "--limit"],
+        ["density-table", "--z"],
+        ["blowup-probe", "--z-max"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_prime_table_limit_past_the_sieve_cap_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, str(10**310))
+    assert (code, out) == (3, "")
+    assert "prime table limit" in err
 
 
 def test_memory_budget_env_var(capsys, monkeypatch):
