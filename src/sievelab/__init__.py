@@ -16,7 +16,6 @@ from .errorlab import (
     ChebyshevRecord,
     ErrorRecord,
     ProbeRow,
-    SweepConfig,
     chebyshev_check,
     evaluate_point,
     legendre_blowup_probe,
@@ -58,7 +57,6 @@ __all__ = [
     "ProbeRow",
     "ResourceLimitError",
     "SieveLabError",
-    "SweepConfig",
     "build_density_table",
     "build_prime_table",
     "chebyshev_check",

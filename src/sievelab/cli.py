@@ -8,21 +8,23 @@ Exit statuses: 0 success, 1 exact-check failure, 2 configuration error,
 import argparse
 import random
 import sys
+from contextlib import nullcontext
+from math import isqrt, log
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import identities, report
 from .densities import build_density_table
-from .errorlab import SweepConfig, chebyshev_check, legendre_blowup_probe, run_sweep
+from .errorlab import chebyshev_check, legendre_blowup_probe, run_sweep
 from .errors import CapExceededError, ResourceLimitError
 from .moebius import DEFAULT_MAX_PI_Z, _check_enumeration
-from .sieve import build_prime_table, sifting_primes
+from .sieve import build_prime_table, check_survivor_count, sifting_primes
 
 DEFAULT_SEED = 1729
 
 
 def parse_x_spec(spec: str) -> list[int]:
-    """Parse an x grid: comma list, 'pow2:a..b', or 'pow10:a..b'."""
+    """Parse an x grid: comma list, 'pow2:a..b', or 'pow10:a..b' with 0 <= a <= b."""
     spec = spec.strip()
     if not spec:
         return []
@@ -31,38 +33,25 @@ def parse_x_spec(spec: str) -> list[int]:
             lo, sep, hi = spec[len(prefix):].partition("..")
             if not sep:
                 raise ValueError(f"bad range in x spec {spec!r}, expected a..b")
-            if int(lo) < 0:
+            lo, hi = int(lo), int(hi)
+            if lo < 0:
                 raise ValueError(f"negative exponent in x spec {spec!r}")
-            return [base**k for k in range(int(lo), int(hi) + 1)]
+            if hi < lo:
+                raise ValueError(f"empty range in x spec {spec!r}, {hi} < {lo}")
+            return [base**k for k in range(lo, hi + 1)]
     return [int(tok) for tok in spec.split(",") if tok.strip()]
 
 
-def parse_z_spec(spec: str) -> tuple[str, int | None]:
-    """Parse a z rule: 'sqrt', 'logx', 'fixed:N', or a bare integer."""
+def parse_z_spec(spec: str) -> Callable[[int], int]:
+    """Parse a z rule into z as a function of x >= 2: 'sqrt' (floor(sqrt(x))),
+    'logx' (floor(ln x)), each at least 2, or 'fixed:N' or a bare integer N."""
     spec = spec.strip()
-    if spec in ("sqrt", "logx"):
-        return spec, None
-    if spec.startswith("fixed:"):
-        return "fixed", int(spec[len("fixed:"):])
-    return "fixed", int(spec)
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-_FORMATS = ("csv", "json")
-
-
-def _parse_format(text: str) -> str:
-    if text not in _FORMATS:
-        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {text!r}")
-    return text
+    if spec == "sqrt":
+        return lambda x: max(2, isqrt(x))
+    if spec == "logx":
+        return lambda x: max(2, int(log(x)))
+    z = int(spec.removeprefix("fixed:"))
+    return lambda x: z
 
 
 def non_negative_int(text: str) -> int:
@@ -72,32 +61,22 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-# Settings a sweep config file may hold -> (default, parser of the file's
-# text).  Their flags default to None, so pick can tell an unset flag.
-_SETTINGS = {
-    "x": ("", str),
-    "z": ("sqrt", str),
-    "frac": (False, _parse_bool),
-    "moebius_check": (True, _parse_bool),
-    "format": ("csv", _parse_format),
-    "out": (None, str),
-    "max_pi_z": (DEFAULT_MAX_PI_Z, non_negative_int),
-}
-
-# Settings that are flags of more than one subcommand.
-_SHARED_FLAGS = {
-    "format": dict(choices=_FORMATS),
-    "out": dict(metavar="PATH"),
-    "max_pi_z": dict(
-        type=non_negative_int,
-        help=f"most sifting primes a Möbius sum may enumerate (default {DEFAULT_MAX_PI_Z})",
-    ),
+# The sweep flags a config file may set, by dest.  A switch's value true or
+# false (1/0, yes/no, on/off) sets --key or --no-key.
+_CONFIG_SWITCHES = ("frac", "moebius_check")
+_CONFIG_KEYS = (*_CONFIG_SWITCHES, "x", "z", "format", "out", "max_pi_z")
+_SWITCH_PREFIX = {
+    **dict.fromkeys(("1", "true", "yes", "on"), "--"),
+    **dict.fromkeys(("0", "false", "no", "off"), "--no-"),
 }
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value config; '#' starts a comment, keys match the flag names."""
-    values: dict[str, str] = {}
+def load_config_file(path: str) -> list[str]:
+    """Flat key=value config as sweep flags, in file order; '#' starts a
+    comment, keys match the flag names.  Values are left to the flags' own
+    parser: any value other than a switch's true or false becomes
+    --key=value."""
+    flags = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,32 +84,13 @@ def load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key = key.strip().lower().replace("-", "_")
-        if key not in _SETTINGS:
+        key, value = key.strip().lower().replace("-", "_"), value.strip()
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
-def pick(args: argparse.Namespace, config: dict[str, str], key: str):
-    """The flag's value, else the config file's value for it, else its default."""
-    value = getattr(args, key)
-    if value is not None:
-        return value
-    default, convert = _SETTINGS[key]
-    return convert(config[key]) if key in config else default
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
-    for key in keys:
-        parser.add_argument("--" + key.replace("_", "-"), default=None, **_SHARED_FLAGS[key])
+        name = key.replace("_", "-")
+        prefix = _SWITCH_PREFIX.get(value.lower()) if key in _CONFIG_SWITCHES else None
+        flags.append(f"--{name}={value}" if prefix is None else prefix + name)
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,39 +100,50 @@ def build_parser() -> argparse.ArgumentParser:
         "and error-term measurement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags of more than one subcommand
+    report_flags = argparse.ArgumentParser(add_help=False)
+    report_flags.add_argument("--format", choices=report.FORMATS, default="csv")
+    report_flags.add_argument("--out", metavar="PATH",
+                              help="write the report here instead of stdout")
+    cap_flag = argparse.ArgumentParser(add_help=False)
+    cap_flag.add_argument(
+        "--max-pi-z", type=non_negative_int, default=DEFAULT_MAX_PI_Z,
+        help=f"most sifting primes a Möbius sum may enumerate (default {DEFAULT_MAX_PI_Z})",
+    )
 
-    p = sub.add_parser("verify-identities", help="run the exact-identity suite")
+    p = sub.add_parser("verify-identities", parents=[cap_flag],
+                       help="run the exact-identity suite")
     p.add_argument("--limit", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_flags(p, "max_pi_z")
 
-    p = sub.add_parser("sweep", help="evaluate an (x, z) grid and emit a report")
-    p.add_argument("--config", metavar="PATH", default=None)
-    p.add_argument("--x", default=None, help="comma list, pow2:a..b, or pow10:a..b")
-    p.add_argument("--z", default=None,
+    p = sub.add_parser("sweep", parents=[report_flags, cap_flag],
+                       help="evaluate an (x, z) grid and emit a report")
+    p.add_argument("--config", metavar="PATH",
+                   help="key = value file of these flags; the command line overrides it")
+    p.add_argument("--x", default="", help="comma list, pow2:a..b, or pow10:a..b")
+    p.add_argument("--z", default="sqrt",
                    help="sqrt, logx, fixed:N, or a bare integer (default sqrt)")
-    p.add_argument("--frac", action=argparse.BooleanOptionalAction, default=None,
+    p.add_argument("--frac", action=argparse.BooleanOptionalAction, default=False,
                    help="compute the exact fractional-part remainder per point")
     p.add_argument("--moebius-check", action=argparse.BooleanOptionalAction,
-                   default=None, help="cross-check survivors via the full Möbius sum")
-    _add_flags(p, "format", "out", "max_pi_z")
+                   default=True, help="cross-check survivors via the full Möbius sum")
 
-    p = sub.add_parser("chebyshev", help="prime-counting inclusion checks")
+    p = sub.add_parser("chebyshev", parents=[report_flags],
+                       help="prime-counting inclusion checks")
     p.add_argument("--x-max", type=int, default=1_000_000)
     p.add_argument("--grid", choices=("default", "decade"), default="default")
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help="additional seeded random sample points")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_flags(p, "format", "out")
 
-    p = sub.add_parser("blowup-probe", help="term-count growth of the full Möbius sum")
+    p = sub.add_parser("blowup-probe", parents=[report_flags, cap_flag],
+                       help="term-count growth of the full Möbius sum")
     p.add_argument("--z-max", type=int, default=31)
     p.add_argument("--x", type=int, default=1_000_000)
-    _add_flags(p, "format", "out", "max_pi_z")
 
-    p = sub.add_parser("density-table", help="per-prime density and partial sums")
+    p = sub.add_parser("density-table", parents=[report_flags],
+                       help="per-prime density and partial sums")
     p.add_argument("--z", type=int, default=100)
-    _add_flags(p, "format", "out")
 
     return parser
 
@@ -213,12 +184,12 @@ def _identity_families(limit: int, args) -> list[tuple[str, Iterator[tuple[str, 
     ]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     limit = args.limit
     if limit < 0:
         raise ValueError(f"--limit must be >= 0, got {limit}")
     if limit == 0:
-        print("ok: nothing to check (limit 0)")
+        print("ok: nothing to check (limit 0)", file=out)
         return 0
     for name, checks in _identity_families(limit, args):
         count = 0
@@ -227,27 +198,30 @@ def _cmd_verify(args) -> int:
                 print(f"FAIL {name} at {where}", file=sys.stderr)
                 return 1
             count += 1
-        print(f"ok {name}: {count} checks")
-    print("all identity families hold exactly")
+        print(f"ok {name}: {count} checks", file=out)
+    print("all identity families hold exactly", file=out)
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    z_rule, z_fixed = parse_z_spec(args.z)
-    sweep = SweepConfig(
-        x_values=tuple(parse_x_spec(args.x)),
-        z_rule=z_rule,
-        z_fixed=z_fixed,
-        moebius_cross_check=args.moebius_check,
-        frac_remainder=args.frac,
-        max_pi_z=args.max_pi_z,
-    )
-    points = sweep.points()
+def _cmd_sweep(args, out) -> int:
+    z_of = parse_z_spec(args.z)
+    points = []
+    for x in sorted(parse_x_spec(args.x)):
+        if x < 2:
+            raise ValueError(f"sweep point x={x} is below 2")
+        z = z_of(x)
+        if not 2 <= z <= x:
+            raise ValueError(f"sweep point violates 2 <= z <= x: x={x}, z={z}")
+        points.append((x, z))
     rows = []
     if points:
+        # the largest x is the costliest point: refuse it before any work
+        check_survivor_count(points[-1][0])
         table = build_prime_table(max(z for _, z in points))
-        rows = [report.error_row(rec) for rec in run_sweep(sweep, table)]
-    _emit(report.format_rows(rows, report.ERROR_COLUMNS, args.format), args.out)
+        records = run_sweep(points, table, moebius_cross_check=args.moebius_check,
+                            frac_remainder=args.frac, max_pi_z=args.max_pi_z)
+        rows = [report.error_row(rec) for rec in records]
+    out.write(report.format_rows(rows, report.ERROR_COLUMNS, args.format))
     return 0
 
 
@@ -264,7 +238,7 @@ def _chebyshev_grid(x_max: int, mode: str, extra: int, seed: int) -> list[int]:
     return sorted(grid)
 
 
-def _cmd_chebyshev(args) -> int:
+def _cmd_chebyshev(args, out) -> int:
     if args.x_max < 2:
         raise ValueError(f"--x-max must be >= 2, got {args.x_max}")
     table = build_prime_table(args.x_max)
@@ -272,12 +246,9 @@ def _cmd_chebyshev(args) -> int:
         chebyshev_check(x, table)
         for x in _chebyshev_grid(args.x_max, args.grid, args.random, args.seed)
     ]
-    _emit(
-        report.format_rows(
-            [report.chebyshev_row(r) for r in records], report.CHEBYSHEV_COLUMNS, args.format
-        ),
-        args.out,
-    )
+    out.write(report.format_rows(
+        [report.chebyshev_row(r) for r in records], report.CHEBYSHEV_COLUMNS, args.format
+    ))
     bad = [r for r in records if not r.holds_54]
     if bad:
         print(f"FAIL inclusion at x={bad[0].x}", file=sys.stderr)
@@ -285,20 +256,19 @@ def _cmd_chebyshev(args) -> int:
     return 0
 
 
-def _cmd_blowup(args) -> int:
+def _cmd_blowup(args, out) -> int:
     table = build_prime_table(max(args.z_max, 2))
     rows = legendre_blowup_probe(args.z_max, args.x, table, max_pi_z=args.max_pi_z)
-    _emit(
-        report.format_rows([report.probe_row(r) for r in rows], report.PROBE_COLUMNS, args.format),
-        args.out,
-    )
+    out.write(report.format_rows(
+        [report.probe_row(r) for r in rows], report.PROBE_COLUMNS, args.format
+    ))
     return 0
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args, out) -> int:
     table = build_prime_table(max(args.z, 2))
     dt = build_density_table(args.z, table)
-    _emit(report.format_rows(report.density_rows(dt), report.DENSITY_COLUMNS, args.format), args.out)
+    out.write(report.format_rows(report.density_rows(dt), report.DENSITY_COLUMNS, args.format))
     return 0
 
 
@@ -312,13 +282,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = load_config_file(args.config) if getattr(args, "config", None) else {}
-        for key in _SETTINGS:
-            if hasattr(args, key):
-                setattr(args, key, pick(args, config, key))
-        return _COMMANDS[args.command](args)
+        if getattr(args, "config", None):
+            # once more with the file's flags ahead of the command line's
+            # own, so that the command line's win as the last ones given
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *load_config_file(args.config), *argv[at:]])
+        path = getattr(args, "out", None)
+        # opened and truncated before any work, like a shell redirection
+        with open(path, "w") if path else nullcontext(sys.stdout) as out:
+            return _COMMANDS[args.command](args, out)
     except (ResourceLimitError, CapExceededError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

@@ -8,12 +8,12 @@ exponent), and the exact fractional-part quantities.  Everything asserted is
 exact; the ratio columns are measurements and carry no pass/fail meaning.
 """
 
-import math
 import time
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
+from typing import Iterable
 
 from .densities import mertens_product
 from .errors import CapExceededError
@@ -136,53 +136,12 @@ def evaluate_point(
     )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid of sweep points plus evaluation options.
-
-    z_rule is one of "sqrt" (z = floor(sqrt(x)), clamped up to 2), "fixed"
-    (z = z_fixed everywhere) or "logx" (z = floor(ln x), clamped up to 2).
-    """
-
-    x_values: tuple[int, ...]
-    z_rule: str = "sqrt"
-    z_fixed: int | None = None
-    moebius_cross_check: bool = True
-    frac_remainder: bool = False
-    max_pi_z: int = DEFAULT_MAX_PI_Z
-
-    def z_for(self, x: int) -> int:
-        if self.z_rule == "sqrt":
-            return max(2, isqrt(x))
-        if self.z_rule == "fixed":
-            if self.z_fixed is None:
-                raise ValueError("z_rule 'fixed' requires z_fixed")
-            return self.z_fixed
-        if self.z_rule == "logx":
-            return max(2, int(math.log(x)))
-        raise ValueError(f"unknown z_rule {self.z_rule!r}")
-
-    def points(self) -> list[tuple[int, int]]:
-        pts = sorted((x, self.z_for(x)) for x in self.x_values)
-        for x, z in pts:
-            if not 2 <= z <= x:
-                raise ValueError(f"sweep point violates 2 <= z <= x: x={x}, z={z}")
-        return pts
-
-
-def run_sweep(config: SweepConfig, table: PrimeTable) -> list[ErrorRecord]:
-    """Evaluate every configured point, ordered by (x, z), deterministically."""
-    return [
-        evaluate_point(
-            x,
-            z,
-            table,
-            moebius_cross_check=config.moebius_cross_check,
-            frac_remainder=config.frac_remainder,
-            max_pi_z=config.max_pi_z,
-        )
-        for x, z in config.points()
-    ]
+def run_sweep(
+    points: Iterable[tuple[int, int]], table: PrimeTable, **options
+) -> list[ErrorRecord]:
+    """evaluate_point at each (x, z) of points, in their order; options are
+    evaluate_point's keyword arguments."""
+    return [evaluate_point(x, z, table, **options) for x, z in points]
 
 
 def chebyshev_check(x: int, table: PrimeTable) -> ChebyshevRecord:

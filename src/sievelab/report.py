@@ -16,6 +16,8 @@ from .densities import DensityTable
 from .errorlab import ChebyshevRecord, ErrorRecord, ProbeRow
 from .highprec import WORKING_PREC, fraction_to_decimal, ln_decimal, render
 
+FORMATS = ("csv", "json")
+
 ERROR_COLUMNS = [
     "x",
     "z",

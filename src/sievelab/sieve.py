@@ -23,7 +23,8 @@ routes.
 Two caps bound a run, each checked before any sieving: MAX_SIEVE_X on x and
 on the prime-table limit, and the memory budget (the SIEVELAB_MEMORY_BUDGET
 environment variable) on the prime table, the segment buffer and the DP's two
-lists.
+lists.  check_survivor_count makes survivor_count's checks on x alone, so a
+caller can make them before it builds a prime table.
 """
 
 import os
@@ -155,14 +156,36 @@ def _require_prime(p: int, table: PrimeTable) -> None:
         raise ValueError(f"{p} is not a prime <= {table.limit}")
 
 
-def _check_sifting(x: int, z: int, table: PrimeTable) -> None:
-    """The arguments survivor_count and lpf_census share: 2 <= z <= limit + 1
-    and x <= MAX_SIEVE_X."""
+def _check_sifting(z: int, table: PrimeTable) -> None:
+    """The sifting level survivor_count and lpf_census share: 2 <= z <= limit + 1."""
     if z < 2:
         raise ValueError(f"sifting level must be >= 2, got {z}")
     if z > table.limit + 1:
         raise ValueError(f"sifting level {z} exceeds table limit {table.limit} + 1")
+
+
+def _check_x(x: int, counting: bool) -> None:
+    """Refuse to sift [1, x] before any work: x past MAX_SIEVE_X, or the
+    memory of its route past the budget, the counting lists of _legendre_dp
+    when `counting`, else the segment buffer of _sieve_pass.
+
+    The DP holds two lists of r + 1 ints, r = isqrt(x), and while a range is
+    rebuilt its new ints and slices: up to 4 (r + 1) list slots and ints no
+    larger than x at the peak (tracemalloc measured 2.7 to 3.7 of them from
+    x = 2^19 to 10^9).
+    """
     _check_cap(x, "x")
+    if counting:
+        _reserve(4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x)), f"counting lists for x = {x}")
+    else:
+        _reserve(min(SEGMENT_SIZE, (x + 1) // 2), "segment buffer")
+
+
+def check_survivor_count(x: int) -> None:
+    """survivor_count's refusals that depend on x alone, so a caller can make
+    them before building a prime table: ResourceLimitError when x is past
+    MAX_SIEVE_X or the memory of its route past the budget."""
+    _check_x(x, x >= DP_MIN_X)
 
 
 def _sieve_pass(x: int, primes: tuple[int, ...], want_counts: bool) -> tuple[int, list[int]]:
@@ -182,7 +205,6 @@ def _sieve_pass(x: int, primes: tuple[int, ...], want_counts: bool) -> tuple[int
     counts[0] = x // 2
     n_odd = (x + 1) // 2
     buffer = min(SEGMENT_SIZE, n_odd)
-    _reserve(buffer, "segment buffer")
     # longest marking lane is the p = 3 one, at most a third of a segment
     ones = b"\x01" * ((buffer + 2) // 3 + 1)
     unmarked = 0
@@ -240,14 +262,9 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     round, so each range is rebuilt from slices of the old lists.  After the
     primes p < z with p <= r, S(x) counts the primes <= x and the composites
     with no factor below z, so the survivors are 1 + S(x) - pi(min(z - 1, x)).
-
-    Raises ResourceLimitError when the lists would exceed the memory budget:
-    two of r + 1 ints, and while a range is rebuilt its new ints and slices,
-    up to 4 (r + 1) list slots and ints no larger than x at the peak
-    (tracemalloc measured 2.7 to 3.7 of them from x = 2^19 to 10^9).
+    Its memory is checked by _check_x.
     """
     r = isqrt(x)
-    _reserve(4 * (r + 1) * (8 + sys.getsizeof(x)), f"counting lists for x = {x}")
     small = list(range(-1, r))
     large = [0, *(x // k - 1 for k in range(1, r + 1))]
     for p in table.primes[: bisect_right(table.primes, min(z - 1, r))]:
@@ -279,7 +296,8 @@ def survivor_count(x: int, z: int, table: PrimeTable) -> int:
     From DP_MIN_X on this is _legendre_dp, below it the survivor-only
     segmented pass.
     """
-    _check_sifting(x, z, table)
+    _check_sifting(z, table)
+    check_survivor_count(x)
     if x < 1:
         return 0
     if x >= DP_MIN_X:
@@ -297,7 +315,8 @@ def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    _check_sifting(x, z, table)
+    _check_sifting(z, table)
+    _check_x(x, counting=False)
     survivors, primes, sieved = _sift(x, z, table, want_counts=True)
     tail = table.primes[len(primes) : bisect_left(table.primes, z)]
     singles = bisect_right(tail, x)

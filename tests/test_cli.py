@@ -27,13 +27,19 @@ def test_parse_x_spec():
     for spec in ("pow10:-1..2", "pow2:-2..5"):
         with pytest.raises(ValueError, match="negative exponent"):
             parse_x_spec(spec)
+    for spec in ("pow10:3..2", "pow2:5..0"):
+        with pytest.raises(ValueError, match="empty range"):
+            parse_x_spec(spec)
 
 
 def test_parse_z_spec():
-    assert parse_z_spec("sqrt") == ("sqrt", None)
-    assert parse_z_spec("logx") == ("logx", None)
-    assert parse_z_spec("fixed:31") == ("fixed", 31)
-    assert parse_z_spec("4") == ("fixed", 4)
+    sqrt, logx = parse_z_spec("sqrt"), parse_z_spec("logx")
+    assert [sqrt(x) for x in (2, 3, 16, 100, 10**6)] == [2, 2, 4, 10, 1000]
+    assert [logx(x) for x in (2, 100, 10**6)] == [2, 4, 13]
+    assert parse_z_spec("fixed:31")(1000) == 31
+    assert parse_z_spec("4")(16) == 4
+    with pytest.raises(ValueError):
+        parse_z_spec("nope")
 
 
 def test_sweep_single_point(capsys):
@@ -51,6 +57,12 @@ def test_sweep_pow10_grid(capsys):
     rows = read_csv(out)
     assert [int(r["x"]) for r in rows] == [10**k for k in range(2, 7)]
     assert [int(r["z"]) for r in rows] == [10, 31, 100, 316, 1000]
+
+
+def test_sweep_orders_points_by_x(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--x", "100,16", "--z", "sqrt")
+    assert code == 0
+    assert [(r["x"], r["z"]) for r in read_csv(out)] == [("16", "4"), ("100", "10")]
 
 
 def test_sweep_empty_grid(capsys):
@@ -110,7 +122,62 @@ def test_config_file_errors(tmp_path, capsys):
 def test_sweep_invalid_point_is_config_error(capsys):
     code, _, err = run_cli(capsys, "sweep", "--x", "16", "--z", "fixed:17")
     assert code == 2
+    assert "sweep point violates 2 <= z <= x: x=16, z=17" in err
+    code, _, err = run_cli(capsys, "sweep", "--x", "16", "--z", "nope")
+    assert code == 2
     assert "configuration error" in err
+
+
+def _no_prime_table(monkeypatch):
+    def no_work(limit):
+        raise AssertionError("the prime table was built")
+
+    monkeypatch.setattr(cli, "build_prime_table", no_work)
+
+
+@pytest.mark.parametrize("z", ["sqrt", "logx", "fixed:3"])
+@pytest.mark.parametrize("x", ["-5", "0", "1"])
+def test_sweep_x_below_2_is_refused_before_its_z_rule(capsys, monkeypatch, x, z):
+    _no_prime_table(monkeypatch)
+    code, out, err = run_cli(capsys, "sweep", f"--x={x},16", "--z", z)
+    assert (code, out) == (2, "")
+    assert f"configuration error: sweep point x={x} is below 2" in err
+
+
+@pytest.mark.parametrize(
+    "x, env, message",
+    [
+        ("1000,281474976710657", {}, "x = 281474976710657 exceeds the 2^48 sieve cap"),
+        ("1000,100000000", {"SIEVELAB_MEMORY_BUDGET": "500000"},
+         "counting lists for x = 100000000"),
+    ],
+    ids=["cap", "budget"],
+)
+def test_sweep_refuses_its_largest_x_before_any_point(capsys, monkeypatch, x, env, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    _no_prime_table(monkeypatch)
+    code, out, err = run_cli(capsys, "sweep", "--x", x, "--z", "18", "--no-moebius-check")
+    assert (code, out) == (3, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--x", "1000", "--z", "10"],
+        ["chebyshev", "--x-max", "1000"],
+        ["blowup-probe", "--z-max", "10", "--x", "1000"],
+        ["density-table", "--z", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unopenable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    _no_prime_table(monkeypatch)
+    path = tmp_path / "missing" / "report.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert f"configuration error: [Errno 2] No such file or directory: '{path}'" in err
 
 
 @pytest.mark.parametrize("z", ["sqrt", "fixed:3"])
@@ -120,16 +187,28 @@ def test_sweep_negative_exponent_exits_2(capsys, z):
     assert "negative exponent" in err
 
 
-def test_sweep_config_format_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
-    def no_work(limit):
-        raise AssertionError("the prime table was built")
-
-    monkeypatch.setattr(cli, "build_prime_table", no_work)
+def _config_refusal(tmp_path, capsys, monkeypatch, line):
+    """stderr of a sweep whose config file sets `line`, which its flag's
+    parser refuses: exit 2, before any work."""
+    _no_prime_table(monkeypatch)
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("x = 1000\nz = 10\nformat = xml\n")
-    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
-    assert (code, out) == (2, "")
-    assert "'xml'" in err
+    cfg.write_text(f"x = 1000\nz = 10\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_sweep_config_format_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    err = _config_refusal(tmp_path, capsys, monkeypatch, "format = xml")
+    assert "argument --format: invalid choice: 'xml'" in err
+
+
+def test_sweep_config_switch_takes_only_a_boolean(tmp_path, capsys, monkeypatch):
+    err = _config_refusal(tmp_path, capsys, monkeypatch, "frac = maybe")
+    assert "argument --frac/--no-frac: ignored explicit argument 'maybe'" in err
 
 
 @pytest.mark.parametrize(
@@ -150,12 +229,9 @@ def test_negative_max_pi_z_flag_exits_2_before_any_work(capsys, argv):
     assert "argument --max-pi-z: invalid non_negative_int value: '-1'" in captured.err
 
 
-def test_negative_max_pi_z_config_key_exits_2_before_any_work(tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("x = 1000\nz = 10\nmax_pi_z = -1\n")
-    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
-    assert (code, out) == (2, "")
-    assert "expected an integer >= 0, got '-1'" in err
+def test_negative_max_pi_z_config_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    err = _config_refusal(tmp_path, capsys, monkeypatch, "max_pi_z = -1")
+    assert "argument --max-pi-z: invalid non_negative_int value: '-1'" in err
 
 
 def test_verify_identities_small(capsys):
@@ -294,8 +370,11 @@ def test_memory_budget_counts_the_chebyshev_prime_table(capsys, monkeypatch):
 
 def test_load_config_file_parses_comments(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("# comment\nx = pow2:4..8   # trailing\n\nmax-pi-z = 10\n")
-    assert load_config_file(str(cfg)) == {"x": "pow2:4..8", "max_pi_z": "10"}
+    cfg.write_text("# comment\nx = pow2:4..8   # trailing\n\nmax-pi-z = 10\n"
+                   "frac = Yes\nmoebius_check = off\nout = true\n")
+    assert load_config_file(str(cfg)) == [
+        "--x=pow2:4..8", "--max-pi-z=10", "--frac", "--no-moebius-check", "--out=true"
+    ]
 
 
 def test_load_config_file_rejects_unknown_keys(tmp_path):

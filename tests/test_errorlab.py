@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from sievelab.cli import main
 from sievelab.errorlab import (
     ChebyshevRecord,
-    SweepConfig,
     chebyshev_check,
     evaluate_point,
     legendre_blowup_probe,
     run_sweep,
 )
 from sievelab.sieve import lpf_census, prime_count, sifting_primes
+from oracles import read_csv
 
 
 def test_evaluate_point_worked_example(table_1k):
@@ -72,27 +74,36 @@ def test_evaluate_point_rejects_bad_z(table_1k):
         evaluate_point(10, 1, table_1k)
 
 
-def test_sweep_config_rules():
-    cfg = SweepConfig(x_values=(100, 16), z_rule="sqrt")
-    assert cfg.points() == [(16, 4), (100, 10)]
-    cfg = SweepConfig(x_values=(1000,), z_rule="fixed", z_fixed=31)
-    assert cfg.points() == [(1000, 31)]
-    cfg = SweepConfig(x_values=(100, 10**6), z_rule="logx")
-    assert cfg.points() == [(100, 4), (10**6, 13)]
+def _sweep_points(capsys, *argv):
+    """(exit code, [(x, z)] of the report, stderr) of a CSV sweep run."""
+    code = main(["sweep", *argv])
+    captured = capsys.readouterr()
+    rows = read_csv(captured.out) if captured.out else []
+    return code, [(int(r["x"]), int(r["z"])) for r in rows], captured.err
 
 
-def test_sweep_config_rejects_invalid_points():
-    with pytest.raises(ValueError):
-        SweepConfig(x_values=(16,), z_rule="fixed", z_fixed=17).points()
-    with pytest.raises(ValueError):
-        SweepConfig(x_values=(1,), z_rule="sqrt").points()
-    with pytest.raises(ValueError):
-        SweepConfig(x_values=(16,), z_rule="nope").points()
+def test_sweep_config_rules(capsys):
+    # the sweep plan sorts x and applies the z rule to each point
+    assert _sweep_points(capsys, "--x", "100,16", "--z", "sqrt")[:2] == (0, [(16, 4), (100, 10)])
+    assert _sweep_points(capsys, "--x", "1000", "--z", "fixed:31")[:2] == (0, [(1000, 31)])
+    assert _sweep_points(capsys, "--x", "100,1000000", "--z", "logx")[:2] == (
+        0, [(100, 4), (10**6, 13)])
+
+
+def test_sweep_config_rejects_invalid_points(capsys):
+    for argv, message in (
+        (("--x", "16", "--z", "fixed:17"), "violates 2 <= z <= x: x=16, z=17"),
+        (("--x", "1", "--z", "sqrt"), "sweep point x=1 is below 2"),
+        (("--x", "16", "--z", "nope"), "configuration error"),
+    ):
+        code, points, err = _sweep_points(capsys, *argv)
+        assert (code, points) == (2, [])
+        assert message in err
 
 
 def test_run_sweep_decades(table_1k):
-    cfg = SweepConfig(x_values=tuple(10**k for k in range(2, 7)), frac_remainder=True)
-    records = run_sweep(cfg, table_1k)
+    points = [(10**k, isqrt(10**k)) for k in range(2, 7)]
+    records = run_sweep(points, table_1k, frac_remainder=True)
     assert [r.x for r in records] == [10**k for k in range(2, 7)]
     assert [r.z for r in records] == [10, 31, 100, 316, 1000]
     for r in records:
@@ -105,15 +116,16 @@ def test_run_sweep_decades(table_1k):
 
 
 def test_run_sweep_single_point_matches_evaluate(table_1k):
-    cfg = SweepConfig(x_values=(16,), z_rule="fixed", z_fixed=4, frac_remainder=True)
-    assert run_sweep(cfg, table_1k) == [evaluate_point(16, 4, table_1k, frac_remainder=True)]
+    assert run_sweep([(16, 4)], table_1k, frac_remainder=True) == [
+        evaluate_point(16, 4, table_1k, frac_remainder=True)
+    ]
 
 
 def test_run_sweep_powers_of_two(table_100k):
-    cfg = SweepConfig(x_values=tuple(2**k for k in range(4, 21)))
-    records = run_sweep(cfg, table_100k)
+    points = [(2**k, isqrt(2**k)) for k in range(4, 21)]
+    records = run_sweep(points, table_100k)
     assert len(records) == 17
-    assert records == run_sweep(cfg, table_100k)  # deterministic
+    assert records == run_sweep(points, table_100k)  # deterministic
 
 
 def test_chebyshev_worked_examples(table_1k):

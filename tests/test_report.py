@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab.errorlab import SweepConfig, chebyshev_check, run_sweep
+from sievelab.errorlab import chebyshev_check, run_sweep
 from sievelab.report import (
     CHEBYSHEV_COLUMNS,
     ERROR_COLUMNS,
@@ -17,8 +17,8 @@ from oracles import read_csv
 
 @pytest.fixture(scope="module")
 def records(table_1k):
-    cfg = SweepConfig(x_values=(16, 100, 1000, 10**4), frac_remainder=True)
-    return run_sweep(cfg, table_1k)
+    return run_sweep([(16, 4), (100, 10), (1000, 31), (10**4, 100)], table_1k,
+                     frac_remainder=True)
 
 
 def test_error_rows_cover_schema(records):
