@@ -3,7 +3,6 @@ measurement with exact rational arithmetic."""
 
 from .densities import (
     DensityEntry,
-    DensityTable,
     HarmonicChain,
     build_density_table,
     density_identity_check,
@@ -49,7 +48,6 @@ __all__ = [
     "CapExceededError",
     "ChebyshevRecord",
     "DensityEntry",
-    "DensityTable",
     "ErrorRecord",
     "HarmonicChain",
     "LpfCensus",

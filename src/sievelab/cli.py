@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities", parents=[cap_flag],
                        help="run the exact-identity suite")
-    p.add_argument("--limit", type=int, default=10_000)
+    p.add_argument("--limit", type=non_negative_int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("sweep", parents=[report_flags, cap_flag],
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prime-counting inclusion checks")
     p.add_argument("--x-max", type=int, default=1_000_000)
     p.add_argument("--grid", choices=("default", "decade"), default="default")
-    p.add_argument("--random", type=int, default=0, metavar="N",
+    p.add_argument("--random", type=non_negative_int, default=0, metavar="N",
                    help="additional seeded random sample points")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -185,13 +185,10 @@ def _identity_families(limit: int, args) -> list[tuple[str, Iterator[tuple[str, 
 
 
 def _cmd_verify(args, out) -> int:
-    limit = args.limit
-    if limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {limit}")
-    if limit == 0:
+    if args.limit == 0:
         print("ok: nothing to check (limit 0)", file=out)
         return 0
-    for name, checks in _identity_families(limit, args):
+    for name, checks in _identity_families(args.limit, args):
         count = 0
         for where, holds in checks:
             if not holds:
@@ -267,8 +264,8 @@ def _cmd_blowup(args, out) -> int:
 
 def _cmd_density(args, out) -> int:
     table = build_prime_table(max(args.z, 2))
-    dt = build_density_table(args.z, table)
-    out.write(report.format_rows(report.density_rows(dt), report.DENSITY_COLUMNS, args.format))
+    rows = report.density_rows(build_density_table(args.z, table))
+    out.write(report.format_rows(rows, report.DENSITY_COLUMNS, args.format))
     return 0
 
 

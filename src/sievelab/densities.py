@@ -162,13 +162,7 @@ class DensityEntry:
     mertens_below_p: Fraction
 
 
-@dataclass(frozen=True)
-class DensityTable:
-    z: int
-    entries: list[DensityEntry]
-
-
-def build_density_table(z: int, table: PrimeTable) -> DensityTable:
+def build_density_table(z: int, table: PrimeTable) -> list[DensityEntry]:
     """Per-prime densities and partial sums for all primes p <= z.
 
     Construction re-verifies the telescoping identity at every row and raises
@@ -182,4 +176,4 @@ def build_density_table(z: int, table: PrimeTable) -> DensityTable:
         if partial != 1 - through:
             raise ArithmeticError(f"telescoping identity failed at p = {p}")
         entries.append(DensityEntry(p, g, partial, below))
-    return DensityTable(z, entries)
+    return entries

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .densities import mertens_product
 from .errors import CapExceededError
-from .highprec import WORKING_PREC, fraction_to_decimal, x_over_ln_sqrt
+from .highprec import WORKING_PREC, fraction_to_decimal
 from .moebius import (
     DEFAULT_MAX_PI_Z,
     frac_bound_b3,
@@ -93,32 +93,24 @@ def evaluate_point(
     error = survivors - main_term
     flags: list[str] = []
 
-    frac_value: Fraction | None = None
-    if frac_remainder:
+    def check(name: str, route: Callable, expected: int | Fraction) -> int | Fraction | None:
+        """route at this point against expected, flagged name=ok, or name=cap
+        when route refuses at the enumeration cap (returning None)."""
         try:
-            frac_value = frac_remainder_sum(x, z, table, max_pi_z=max_pi_z)
+            value = route(x, z, table, max_pi_z=max_pi_z)
         except CapExceededError:
-            flags.append("frac=cap")
-        else:
-            if frac_value != error:
-                raise ArithmeticError(
-                    f"remainder identity failed at (x={x}, z={z}): "
-                    f"{frac_value} != {error}"
-                )
-            flags.append("frac=ok")
+            flags.append(f"{name}=cap")
+            return None
+        if value != expected:
+            raise ArithmeticError(
+                f"{name} route gives {value}, expected {expected}, at (x={x}, z={z})"
+            )
+        flags.append(f"{name}=ok")
+        return value
 
+    frac_value = check("frac", frac_remainder_sum, error) if frac_remainder else None
     if moebius_cross_check and z <= MOEBIUS_CHECK_MAX_Z:
-        try:
-            cross = legendre_sum(x, z, table, max_pi_z=max_pi_z)
-        except CapExceededError:
-            flags.append("moebius=cap")
-        else:
-            if cross != survivors:
-                raise ArithmeticError(
-                    f"Legendre sum {cross} != survivor count {survivors} "
-                    f"at (x={x}, z={z})"
-                )
-            flags.append("moebius=ok")
+        check("moebius", legendre_sum, survivors)
 
     pi_z = prime_count(z, table)
     return ErrorRecord(
@@ -160,9 +152,9 @@ def chebyshev_check(x: int, table: PrimeTable) -> ChebyshevRecord:
     survivors = survivor_count(x, z_used, table)
     pi_x = prime_count(x, table)
     s_plus = survivors + prime_count(z_used - 1, table)
-    mertens_upper = x_over_ln_sqrt(x)
     with localcontext() as ctx:
         ctx.prec = WORKING_PREC
+        mertens_upper = Decimal(x) / (Decimal(x).ln() / 2)
         holds_53 = Decimal(survivors) < mertens_upper + prime_count(z_used, table)
     return ChebyshevRecord(
         x=x,

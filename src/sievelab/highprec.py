@@ -72,15 +72,6 @@ def ln_decimal(n: int, prec: int = WORKING_PREC) -> Decimal:
         return Decimal(n).ln()
 
 
-def x_over_ln_sqrt(n: int) -> Decimal:
-    """n / log(sqrt(n)) at WORKING_PREC significant digits; requires n >= 2."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    with localcontext() as ctx:
-        ctx.prec = WORKING_PREC
-        return Decimal(n) / (Decimal(n).ln() / 2)
-
-
 def render(value: Decimal | Fraction) -> str:
     """Deterministic decimal string with at most RENDER_DIGITS significant digits."""
     if isinstance(value, Fraction):

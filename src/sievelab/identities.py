@@ -50,8 +50,8 @@ def per_prime(samples: Samples, table: PrimeTable, max_pi_z: int = DEFAULT_MAX_P
 
 def telescoping(r_max: int, table: PrimeTable) -> Checks:
     """The density telescoping identity at every prime r <= r_max."""
-    for r, lhs, rhs, equal in densities.iter_density_identity(r_max, table):
-        yield f"r={r}", equal and lhs == rhs
+    for r, _, _, equal in densities.iter_density_identity(r_max, table):
+        yield f"r={r}", equal
 
 
 def remainder(samples: Samples, table: PrimeTable, max_pi_z: int = DEFAULT_MAX_PI_Z) -> Checks:

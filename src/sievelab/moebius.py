@@ -112,14 +112,14 @@ def frac_remainder_sum(
     primes = sifting_primes(table, z)
     if primes:
         _check_enumeration(primes[:-1], max_pi_z)  # largest modulus used
-    # Every modulus d*p divides the product of the sifting primes, so the sum
-    # is one integer numerator over that product, reduced once at the end.
+    # Each modulus m = d*p is a squarefree divisor > 1 of the product of the
+    # sifting primes, with p its largest prime, so mu(d) = -mu(m); m = 1 adds
+    # x mod 1 = 0.  The sum is one integer numerator over that product,
+    # reduced once at the end.
     den = prod(primes)
     num = 0
-    for i, p in enumerate(primes):
-        for value, sign in _signed_subset_products(primes[:i]):
-            m = value * p
-            num += sign * (x % m) * (den // m)
+    for m, sign in _signed_subset_products(primes):
+        num -= sign * (x % m) * (den // m)
     return Fraction(num, den)
 
 

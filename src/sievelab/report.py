@@ -5,14 +5,12 @@ and as 30-significant-digit decimal strings.  Column order is fixed so the
 byte output is deterministic.
 """
 
-import csv
-import io
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
-from .densities import DensityTable
+from .densities import DensityEntry
 from .errorlab import ChebyshevRecord, ErrorRecord, ProbeRow
 from .highprec import WORKING_PREC, fraction_to_decimal, ln_decimal, render
 
@@ -112,7 +110,7 @@ def probe_row(row: ProbeRow) -> dict[str, Any]:
     }
 
 
-def density_rows(dt: DensityTable) -> list[dict[str, Any]]:
+def density_rows(entries: list[DensityEntry]) -> list[dict[str, Any]]:
     return [
         {
             "p": e.p,
@@ -123,20 +121,22 @@ def density_rows(dt: DensityTable) -> list[dict[str, Any]]:
             "mertens_below_exact": str(e.mertens_below_p),
             "mertens_below_dec": render(e.mertens_below_p),
         }
-        for e in dt.entries
+        for e in entries
     ]
 
 
 def format_rows(rows: Iterable[dict[str, Any]], columns: Sequence[str], fmt: str) -> str:
-    buf = io.StringIO()
+    """The report text: CSV with a header line, or a JSON array of objects.
+
+    CSV fields are joined unquoted: every field is an int, an a/b fraction, a
+    decimal, true/false, ;-joined flags or empty (None), so none holds a
+    comma, a quote or a line break.
+    """
     if fmt == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        lines = [",".join(columns)]
         for row in rows:
-            writer.writerow(["" if row[c] is None else row[c] for c in columns])
-    elif fmt == "json":
-        json.dump([{c: row[c] for c in columns} for row in rows], buf, indent=2)
-        buf.write("\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return buf.getvalue()
+            lines.append(",".join("" if row[c] is None else str(row[c]) for c in columns))
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        return json.dumps([{c: row[c] for c in columns} for row in rows], indent=2) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")

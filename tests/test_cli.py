@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab import cli, densities, moebius, sieve
+from sievelab import cli, densities, errorlab, moebius, sieve
 from sievelab.cli import load_config_file, main, parse_x_spec, parse_z_spec
 from oracles import read_csv
 
@@ -314,6 +314,28 @@ def test_density_table_cmd(capsys):
     assert rows[-1]["partial_sum_exact"] == "27/35"
 
 
+_OUT_OF_RANGE = [
+    (["chebyshev", "--random", "-3"], "argument --random: invalid non_negative_int value: '-3'"),
+    (["verify-identities", "--limit", "-1"],
+     "argument --limit: invalid non_negative_int value: '-1'"),
+    (["chebyshev", "--x-max", "1"], "--x-max must be >= 2, got 1"),
+    (["density-table", "--z", "1"], "z must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _OUT_OF_RANGE, ids=[" ".join(argv) for argv, _ in _OUT_OF_RANGE]
+)
+def test_out_of_range_arguments_exit_2(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # refused by the flag's own parser
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -446,6 +468,34 @@ def _unordered(real):
     return lambda *args, **kwargs: (
         (z, rec._replace(ordered=False)) for z, rec in real(*args, **kwargs)
     )
+
+
+def _partial_sums_one_too_large(real):
+    return lambda *args, **kwargs: (
+        (p, g, partial + 1, below, through)
+        for p, g, partial, below, through in real(*args, **kwargs)
+    )
+
+
+# (the module whose binding a report's cross-check calls, the route, how to
+# break it, a command that checks it)
+_REPORT_ROUTES = [
+    (errorlab, "legendre_sum", _off_by_one, ["sweep", "--x", "1000", "--z", "31"]),
+    (errorlab, "frac_remainder_sum", _off_by_one,
+     ["sweep", "--x", "1000", "--z", "10", "--frac", "--no-moebius-check"]),
+    (densities, "_telescope", _partial_sums_one_too_large, ["density-table", "--z", "100"]),
+]
+
+
+@pytest.mark.parametrize(
+    "module, route, breaker, argv", _REPORT_ROUTES, ids=[r[1] for r in _REPORT_ROUTES]
+)
+def test_a_disagreeing_route_exits_1_with_no_report(capsys, monkeypatch, module, route,
+                                                    breaker, argv):
+    monkeypatch.setattr(module, route, breaker(getattr(module, route)))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("exact check failed: ")
 
 
 # (family, the module that defines the broken route, the route, how to break it)

@@ -93,12 +93,12 @@ def test_harmonic_chain_logs_match_direct_ln_over_full_range():
 
 
 def test_density_table_rows(table_1k):
-    dt = build_density_table(10, table_1k)
-    assert [e.p for e in dt.entries] == [2, 3, 5, 7]
+    entries = build_density_table(10, table_1k)
+    assert [e.p for e in entries] == [2, 3, 5, 7]
     g = [Fraction(1, 2), Fraction(1, 6), Fraction(1, 15), Fraction(4, 105)]
-    assert [e.g_p for e in dt.entries] == g
-    assert dt.entries[-1].partial_sum == Fraction(27, 35)
-    assert dt.entries[-1].mertens_below_p == Fraction(4, 15)
+    assert [e.g_p for e in entries] == g
+    assert entries[-1].partial_sum == Fraction(27, 35)
+    assert entries[-1].mertens_below_p == Fraction(4, 15)
 
 
 def test_rationals_stay_reduced(table_1k):

@@ -6,6 +6,7 @@ must update the digest here and say why in CHANGES.md.
 """
 
 import hashlib
+import shlex
 
 import pytest
 
@@ -27,6 +28,13 @@ GOLDEN = [
      "61555f026dce84f31d1e0bf5686a7ab78fe005489e6884e9f3919494a493af18"),
     ("blowup-probe --z-max 64 --x 1000",
      "be82932fb1f15018e6d1a91cf81c2f774f7f6a95fecbd9c6b00dd221e2d0855a"),
+    ("density-table --z 300 --format json",
+     "1642e1bfbddc059133628b8c6791824490c63e62f139e8d4550b2c8189d41d18"),
+    ("chebyshev --x-max 100000 --grid decade --format json",
+     "88bae625c95dc122e7904684fc54504db5f130d7b592779e3c45217a10f44c35"),
+    # an empty grid: the header line alone
+    ("sweep --x '' --z sqrt",
+     "89d5a2da55f0780c10fb4e5e6ba8241015c6adc6938eae0d530c22cab1360a60"),
 ]
 
 
@@ -43,7 +51,7 @@ def _without_wall_time(csv_text: str) -> str:
 
 @pytest.mark.parametrize("command, digest", GOLDEN, ids=[command for command, _ in GOLDEN])
 def test_report_bytes_are_pinned(capsys, command, digest):
-    argv = command.split()
+    argv = shlex.split(command)
     assert main(argv) == 0
     out = capsys.readouterr().out
     if argv[0] == "blowup-probe":

@@ -33,7 +33,7 @@ def test_named_cases(q, text):
 
 def test_density_table_row():
     # rationals with denominators of about 1700 digits
-    entry = build_density_table(5000, build_prime_table(5000)).entries[-1]
+    entry = build_density_table(5000, build_prime_table(5000))[-1]
     for q in (entry.g_p, entry.partial_sum, entry.mertens_below_p):
         _same_as_division(q)
     assert render(entry.g_p) == render(oracles.fraction_to_decimal(entry.g_p, WORKING_PREC))

@@ -1,16 +1,23 @@
+import csv
+import io
 import json
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from sievelab.errorlab import chebyshev_check, run_sweep
+from sievelab.densities import build_density_table
+from sievelab.errorlab import chebyshev_check, legendre_blowup_probe, run_sweep
 from sievelab.report import (
     CHEBYSHEV_COLUMNS,
+    DENSITY_COLUMNS,
     ERROR_COLUMNS,
+    PROBE_COLUMNS,
     chebyshev_row,
+    density_rows,
     error_row,
     format_rows,
+    probe_row,
 )
 from oracles import read_csv
 
@@ -100,3 +107,39 @@ def test_chebyshev_rows(table_1k):
 def test_unknown_format_rejected(records):
     with pytest.raises(ValueError):
         format_rows([error_row(records[0])], ERROR_COLUMNS, "xml")
+
+
+# Each row kind and its columns, from the records of a 1000-wide prime table.
+# With max_pi_z = 5 the sweep has ok and cap rows for both cross-checks, and
+# the probe has cap rows without a wall time.
+_ROW_KINDS = {
+    "sweep": (lambda table: [
+        error_row(r) for r in run_sweep([(16, 4), (100, 10), (1000, 31), (5000, 60)], table,
+                                        frac_remainder=True, max_pi_z=5)
+    ], ERROR_COLUMNS),
+    "blowup-probe": (lambda table: [
+        probe_row(r) for r in legendre_blowup_probe(40, 1000, table, max_pi_z=5)
+    ], PROBE_COLUMNS),
+    "chebyshev": (lambda table: [
+        chebyshev_row(chebyshev_check(x, table)) for x in (2, 4, 16, 100, 997, 1000)
+    ], CHEBYSHEV_COLUMNS),
+    "density-table": (lambda table: density_rows(build_density_table(300, table)),
+                      DENSITY_COLUMNS),
+}
+
+
+@pytest.mark.parametrize("kind", _ROW_KINDS)
+def test_csv_matches_the_csv_module(table_1k, kind):
+    build, columns = _ROW_KINDS[kind]
+    rows = build(table_1k)
+    if kind == "sweep":
+        flags = {f for row in rows for f in row["flags"].split(";")}
+        assert {"frac=ok", "frac=cap", "moebius=ok", "moebius=cap"} <= flags
+        assert any(row["frac_remainder_exact"] is None for row in rows)
+    if kind == "blowup-probe":
+        assert any(row["wall_time_s"] is None for row in rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row[c] for c in columns] for row in rows)
+    assert format_rows(rows, columns, "csv") == buf.getvalue()
