@@ -9,6 +9,7 @@ import argparse
 import random
 import sys
 from contextlib import nullcontext
+from functools import cache
 from math import isqrt, log
 from pathlib import Path
 from typing import Callable, Iterator
@@ -54,11 +55,17 @@ def parse_z_spec(spec: str) -> Callable[[int], int]:
     return lambda x: z
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected an integer >= 0, got {text!r}")
-    return value
+@cache
+def int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= low, else exit 2 naming the flag.
+    Cached, so that the parser built on each call of main makes no new one."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    parse.__name__ = "int"  # argparse then says "invalid int value" for a non-integer
+    return parse
 
 
 # The sweep flags a config file may set, by dest.  A switch's value true or
@@ -107,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the report here instead of stdout")
     cap_flag = argparse.ArgumentParser(add_help=False)
     cap_flag.add_argument(
-        "--max-pi-z", type=non_negative_int, default=DEFAULT_MAX_PI_Z,
+        "--max-pi-z", type=int_at_least(0), default=DEFAULT_MAX_PI_Z,
         help=f"most sifting primes a Möbius sum may enumerate (default {DEFAULT_MAX_PI_Z})",
     )
 
     p = sub.add_parser("verify-identities", parents=[cap_flag],
                        help="run the exact-identity suite")
-    p.add_argument("--limit", type=non_negative_int, default=10_000)
+    p.add_argument("--limit", type=int_at_least(0), default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("sweep", parents=[report_flags, cap_flag],
@@ -130,20 +137,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chebyshev", parents=[report_flags],
                        help="prime-counting inclusion checks")
-    p.add_argument("--x-max", type=int, default=1_000_000)
+    p.add_argument("--x-max", type=int_at_least(2), default=1_000_000)
     p.add_argument("--grid", choices=("default", "decade"), default="default")
-    p.add_argument("--random", type=non_negative_int, default=0, metavar="N",
+    p.add_argument("--random", type=int_at_least(0), default=0, metavar="N",
                    help="additional seeded random sample points")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("blowup-probe", parents=[report_flags, cap_flag],
                        help="term-count growth of the full Möbius sum")
-    p.add_argument("--z-max", type=int, default=31)
-    p.add_argument("--x", type=int, default=1_000_000)
+    p.add_argument("--z-max", type=int_at_least(2), default=31)
+    p.add_argument("--x", type=int_at_least(1), default=1_000_000)
 
     p = sub.add_parser("density-table", parents=[report_flags],
                        help="per-prime density and partial sums")
-    p.add_argument("--z", type=int, default=100)
+    p.add_argument("--z", type=int_at_least(2), default=100)
 
     return parser
 
@@ -236,8 +243,6 @@ def _chebyshev_grid(x_max: int, mode: str, extra: int, seed: int) -> list[int]:
 
 
 def _cmd_chebyshev(args, out) -> int:
-    if args.x_max < 2:
-        raise ValueError(f"--x-max must be >= 2, got {args.x_max}")
     table = build_prime_table(args.x_max)
     records = [
         chebyshev_check(x, table)
@@ -254,7 +259,7 @@ def _cmd_chebyshev(args, out) -> int:
 
 
 def _cmd_blowup(args, out) -> int:
-    table = build_prime_table(max(args.z_max, 2))
+    table = build_prime_table(args.z_max)
     rows = legendre_blowup_probe(args.z_max, args.x, table, max_pi_z=args.max_pi_z)
     out.write(report.format_rows(
         [report.probe_row(r) for r in rows], report.PROBE_COLUMNS, args.format
@@ -263,7 +268,7 @@ def _cmd_blowup(args, out) -> int:
 
 
 def _cmd_density(args, out) -> int:
-    table = build_prime_table(max(args.z, 2))
+    table = build_prime_table(args.z)
     rows = report.density_rows(build_density_table(args.z, table))
     out.write(report.format_rows(rows, report.DENSITY_COLUMNS, args.format))
     return 0

@@ -110,8 +110,7 @@ def frac_remainder_sum(
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     primes = sifting_primes(table, z)
-    if primes:
-        _check_enumeration(primes[:-1], max_pi_z)  # largest modulus used
+    _check_enumeration(primes[:-1], max_pi_z)  # largest modulus used
     # Each modulus m = d*p is a squarefree divisor > 1 of the product of the
     # sifting primes, with p its largest prime, so mu(d) = -mu(m); m = 1 adds
     # x mod 1 = 0.  The sum is one integer numerator over that product,

@@ -226,12 +226,12 @@ def test_negative_max_pi_z_flag_exits_2_before_any_work(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --max-pi-z: invalid non_negative_int value: '-1'" in captured.err
+    assert "argument --max-pi-z: expected an integer >= 0, got '-1'" in captured.err
 
 
 def test_negative_max_pi_z_config_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
     err = _config_refusal(tmp_path, capsys, monkeypatch, "max_pi_z = -1")
-    assert "argument --max-pi-z: invalid non_negative_int value: '-1'" in err
+    assert "argument --max-pi-z: expected an integer >= 0, got '-1'" in err
 
 
 def test_verify_identities_small(capsys):
@@ -315,24 +315,27 @@ def test_density_table_cmd(capsys):
 
 
 _OUT_OF_RANGE = [
-    (["chebyshev", "--random", "-3"], "argument --random: invalid non_negative_int value: '-3'"),
+    (["chebyshev", "--random", "-3"], "argument --random: expected an integer >= 0, got '-3'"),
     (["verify-identities", "--limit", "-1"],
-     "argument --limit: invalid non_negative_int value: '-1'"),
-    (["chebyshev", "--x-max", "1"], "--x-max must be >= 2, got 1"),
-    (["density-table", "--z", "1"], "z must be >= 2, got 1"),
+     "argument --limit: expected an integer >= 0, got '-1'"),
+    (["chebyshev", "--x-max", "1"], "argument --x-max: expected an integer >= 2, got '1'"),
+    (["density-table", "--z", "1"], "argument --z: expected an integer >= 2, got '1'"),
+    (["blowup-probe", "--z-max", "1"], "argument --z-max: expected an integer >= 2, got '1'"),
+    (["blowup-probe", "--z-max", "-5"], "argument --z-max: expected an integer >= 2, got '-5'"),
+    (["blowup-probe", "--x", "0"], "argument --x: expected an integer >= 1, got '0'"),
+    (["blowup-probe", "--z-max", "ten"], "argument --z-max: invalid int value: 'ten'"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, message", _OUT_OF_RANGE, ids=[" ".join(argv) for argv, _ in _OUT_OF_RANGE]
 )
-def test_out_of_range_arguments_exit_2(capsys, argv, message):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # refused by the flag's own parser
-        code = exc.code
+def test_out_of_range_arguments_exit_2(capsys, monkeypatch, argv, message):
+    _no_prime_table(monkeypatch)
+    with pytest.raises(SystemExit) as exc:  # refused by the flag's own parser
+        main(argv)
     captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
+    assert (exc.value.code, captured.out) == (2, "")
     assert message in captured.err
 
 
