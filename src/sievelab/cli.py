@@ -55,10 +55,8 @@ def parse_z_spec(spec: str) -> Callable[[int], int]:
     return lambda x: z
 
 
-@cache
 def int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer >= low, else exit 2 naming the flag.
-    Cached, so that the parser built on each call of main makes no new one."""
+    """An argparse type: an integer >= low, else exit 2 naming the flag."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
@@ -100,7 +98,9 @@ def load_config_file(path: str) -> list[str]:
     return flags
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once; each subcommand sets its `run`."""
     parser = argparse.ArgumentParser(
         prog="sievelab",
         description="Least-prime-factor sieve census, exact identity checks, "
@@ -122,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the exact-identity suite")
     p.add_argument("--limit", type=int_at_least(0), default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("sweep", parents=[report_flags, cap_flag],
                        help="evaluate an (x, z) grid and emit a report")
@@ -134,6 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute the exact fractional-part remainder per point")
     p.add_argument("--moebius-check", action=argparse.BooleanOptionalAction,
                    default=True, help="cross-check survivors via the full Möbius sum")
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("chebyshev", parents=[report_flags],
                        help="prime-counting inclusion checks")
@@ -142,15 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int_at_least(0), default=0, metavar="N",
                    help="additional seeded random sample points")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.set_defaults(run=_cmd_chebyshev)
 
     p = sub.add_parser("blowup-probe", parents=[report_flags, cap_flag],
                        help="term-count growth of the full Möbius sum")
     p.add_argument("--z-max", type=int_at_least(2), default=31)
     p.add_argument("--x", type=int_at_least(1), default=1_000_000)
+    p.set_defaults(run=_cmd_blowup)
 
     p = sub.add_parser("density-table", parents=[report_flags],
                        help="per-prime density and partial sums")
     p.add_argument("--z", type=int_at_least(2), default=100)
+    p.set_defaults(run=_cmd_density)
 
     return parser
 
@@ -274,15 +279,6 @@ def _cmd_density(args, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "verify-identities": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "chebyshev": _cmd_chebyshev,
-    "blowup-probe": _cmd_blowup,
-    "density-table": _cmd_density,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
@@ -296,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         path = getattr(args, "out", None)
         # opened and truncated before any work, like a shell redirection
         with open(path, "w") if path else nullcontext(sys.stdout) as out:
-            return _COMMANDS[args.command](args, out)
+            return args.run(args, out)
     except (ResourceLimitError, CapExceededError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

@@ -57,8 +57,12 @@ MEMORY_BUDGET_ENV = "SIEVELAB_MEMORY_BUDGET"
 
 
 def memory_budget() -> int:
-    """Memory budget in bytes: SIEVELAB_MEMORY_BUDGET if set, else 1 GiB."""
-    return int(os.environ.get(MEMORY_BUDGET_ENV, DEFAULT_MEMORY_BUDGET))
+    """Memory budget in bytes: SIEVELAB_MEMORY_BUDGET if set, else 1 GiB.  A
+    set value that is not a positive integer is a ValueError naming it."""
+    text = os.environ.get(MEMORY_BUDGET_ENV, str(DEFAULT_MEMORY_BUDGET))
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"{MEMORY_BUDGET_ENV} must be a positive integer of bytes, got {text!r}")
+    return int(text)
 
 
 def _reserve(need: int, what: str) -> None:

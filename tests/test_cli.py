@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from argparse import Namespace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -391,6 +395,57 @@ def test_memory_budget_counts_the_chebyshev_prime_table(capsys, monkeypatch):
     assert code == 3
     assert "resource cap" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("budget", ["abc", "-1", "0", "1e9"])
+def test_memory_budget_that_is_not_a_positive_integer_exits_2(capsys, monkeypatch, budget):
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", budget)
+    code, out, err = run_cli(capsys, "chebyshev", "--x-max", "1000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "configuration error: SIEVELAB_MEMORY_BUDGET must be a positive integer "
+        f"of bytes, got {budget!r}\n"
+    )
+
+
+def test_the_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(capsys, "sweep", "--x", "16", "--z", "4", "--frac")
+    assert code == 0
+    assert read_csv(out)[0]["frac_remainder_exact"] == "-1/3"
+    code, out, _ = run_cli(capsys, "sweep", "--x", "16", "--z", "4")
+    assert code == 0
+    row = read_csv(out)[0]
+    assert row["frac_remainder_exact"] == ""
+    assert "frac=" not in row["flags"]
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("x = 100\nz = 5\nformat = json\nmoebius_check = off\nmax_pi_z = 3\n")
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    row = json.loads(out)[0]
+    assert (row["x"], row["flags"]) == (100, "")
+    code, out, _ = run_cli(capsys, "sweep", "--x", "16")
+    assert code == 0
+    row = read_csv(out)[0]  # csv, z = sqrt(16), and the Möbius check under the default cap
+    assert (row["x"], row["z"], row["flags"]) == ("16", "4", "moebius=ok")
+
+
+def _run_module(*argv, **env):
+    """(exit code, stdout) of `python -m sievelab ARGV` in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sievelab", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), **env}, timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_python_m_sievelab_runs_the_command_line(capsys):
+    _, expected, _ = run_cli(capsys, "sweep", "--x", "16", "--z", "4")
+    assert _run_module("sweep", "--x", "16", "--z", "4") == (0, expected)
+    assert _run_module("chebyshev", "--x-max", "1") == (2, "")
+    assert _run_module("chebyshev", "--x-max", "100000", SIEVELAB_MEMORY_BUDGET="1000") == (3, "")
 
 
 def test_load_config_file_parses_comments(tmp_path):

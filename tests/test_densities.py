@@ -83,6 +83,7 @@ def test_harmonic_chain_incremental_matches_pointwise(table_1k):
         assert rows[z] == harmonic_lower_bound_check(z, table_1k)
     assert all(rec.ordered for rec in rows.values())
     assert rows[10].harmonic == oracles.harmonic(10)
+    assert list(iter_harmonic_chain(1, table_1k)) == []  # no z in [2, z_max]
 
 
 def test_harmonic_chain_logs_match_direct_ln_over_full_range():
