@@ -19,7 +19,7 @@ from .densities import build_density_table
 from .errorlab import chebyshev_check, legendre_blowup_probe, run_sweep
 from .errors import CapExceededError, ResourceLimitError
 from .moebius import DEFAULT_MAX_PI_Z, _check_enumeration
-from .sieve import build_prime_table, check_survivor_count, sifting_primes
+from .sieve import _check_x, build_prime_table, check_survivor_count, prime_counts, sifting_primes
 
 DEFAULT_SEED = 1729
 
@@ -248,11 +248,13 @@ def _chebyshev_grid(x_max: int, mode: str, extra: int, seed: int) -> list[int]:
 
 
 def _cmd_chebyshev(args, out) -> int:
-    table = build_prime_table(args.x_max)
-    records = [
-        chebyshev_check(x, table)
-        for x in _chebyshev_grid(args.x_max, args.grid, args.random, args.seed)
-    ]
+    grid = _chebyshev_grid(args.x_max, args.grid, args.random, args.seed)
+    # refuse x-max before any work: its survivor count, then the pass to it
+    check_survivor_count(args.x_max)
+    _check_x(args.x_max, counting=False)
+    table = build_prime_table(isqrt(args.x_max) + 1)
+    pi_xs = prime_counts(grid, table) if grid else []
+    records = [chebyshev_check(x, table, pi_x) for x, pi_x in zip(grid, pi_xs)]
     out.write(report.format_rows(
         [report.chebyshev_row(r) for r in records], report.CHEBYSHEV_COLUMNS, args.format
     ))

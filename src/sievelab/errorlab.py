@@ -136,21 +136,23 @@ def run_sweep(
     return [evaluate_point(x, z, table, **options) for x, z in points]
 
 
-def chebyshev_check(x: int, table: PrimeTable) -> ChebyshevRecord:
+def chebyshev_check(x: int, table: PrimeTable, pi_x: int | None = None) -> ChebyshevRecord:
     """Exact inclusion pi(x) <= survivors + pi(floor(sqrt(x))).
 
     Uses z = floor(sqrt(x)) + 1 so that every composite <= x is sifted; the
     inclusion is then a set fact: each prime <= x either lies below z or
-    survives.  holds_53 is a diagnostic against x/log(sqrt(x)) with the
-    unspecified constant taken as 1.
+    survives.  The table must reach x, from which pi(x) is read, or only z
+    when pi_x gives pi(x).  holds_53 is a diagnostic against x/log(sqrt(x))
+    with the unspecified constant taken as 1.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    if x > table.limit:
-        raise ValueError(f"x={x} exceeds table limit {table.limit}")
     z_used = isqrt(x) + 1
+    name, need = ("x", x) if pi_x is None else ("z", z_used)
+    if need > table.limit:
+        raise ValueError(f"{name}={need} exceeds table limit {table.limit}")
     survivors = survivor_count(x, z_used, table)
-    pi_x = prime_count(x, table)
+    pi_x = prime_count(x, table) if pi_x is None else pi_x
     s_plus = survivors + prime_count(z_used - 1, table)
     with localcontext() as ctx:
         ctx.prec = WORKING_PREC

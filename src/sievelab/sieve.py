@@ -8,10 +8,10 @@ the hot loops stay in C.  The layout is wheel-2: one segment byte per odd
 integer 2j + 1, so SEGMENT_SIZE counts buffer bytes and one segment covers
 about 2 * SEGMENT_SIZE integers.  The class of 2 is the x // 2 even integers
 and is counted in closed form; each odd prime marks its odd multiples with
-stride p in index space.  Primes above sqrt(x) never own a composite <= x,
-so both sieving callers sieve only up to sqrt(x) and count the larger
-sifting primes up to x, one integer apiece, instead of touching the segment
-array.
+stride p in index space.  _sieve_pass is the one marking loop.  Its three
+callers sieve only the primes up to sqrt(x), which own every composite
+<= x: survivor_count and lpf_census count each larger sifting prime up to
+x as one integer, and prime_counts reads pi at ascending x from one pass.
 
 survivor_count has two routes, chosen by x alone.  Below DP_MIN_X = 2^20 it
 runs the survivor-only segmented pass, a single segment at that size.  From
@@ -192,26 +192,29 @@ def check_survivor_count(x: int) -> None:
     _check_x(x, x >= DP_MIN_X)
 
 
-def _sieve_pass(x: int, primes: tuple[int, ...], want_counts: bool) -> tuple[int, list[int]]:
-    """Mark multiples of `primes` over [1, x] in wheel-2 segments.
+def _sieve_pass(ends: list[int], primes: tuple[int, ...], want_counts: bool) -> tuple[list, list]:
+    """Mark multiples of `primes` over [1, x], x = ends[-1], in wheel-2 segments.
 
-    `primes` is a prefix of the ascending primes, so 2 comes first when it is
-    not empty.  Returns (number of unmarked integers, per-prime counts of
-    integers whose least listed prime factor is primes[i]).  The class of 2
-    is x // 2 in closed form; segment byte j - lo stands for the odd integer
-    2j + 1, and the odd multiples of p sit at j = (p - 1) / 2 (mod p).
-    Counts of odd primes are only accumulated when want_counts is set; the
-    survivor-only path skips the per-prime slice extraction entirely.
+    `ends` ascends, and `primes` is a prefix of the ascending primes, so 2
+    comes first when it is not empty.  Returns (the unmarked integers <= e
+    for each e in ends, per-prime counts of integers <= x whose least listed
+    prime factor is primes[i]).  The class of 2 is x // 2 in closed form;
+    segment byte j - lo stands for the odd integer 2j + 1, and the odd
+    multiples of p sit at j = (p - 1) / 2 (mod p).  Counts of odd primes are
+    only accumulated when want_counts is set.
     """
+    x = ends[-1]
     counts = [0] * len(primes)
     if not primes:
-        return x, counts
+        return list(ends), counts
     counts[0] = x // 2
     n_odd = (x + 1) // 2
     buffer = min(SEGMENT_SIZE, n_odd)
     # longest marking lane is the p = 3 one, at most a third of a segment
     ones = b"\x01" * ((buffer + 2) // 3 + 1)
-    unmarked = 0
+    unmarked, found = 0, []
+    # the odd integers <= e are the segment bytes below (e + 1) // 2; last first
+    stops = [(e + 1) // 2 for e in reversed(ends)]
     for lo in range(0, n_odd, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, n_odd)
         length = hi - lo
@@ -234,8 +237,14 @@ def _sieve_pass(x: int, primes: tuple[int, ...], want_counts: bool) -> tuple[int
                 seg[a::p] = ones[: len(lane)]
             else:
                 seg[a::p] = ones[: (length - a + p - 1) // p]
-        unmarked += seg.count(0)
-    return unmarked, counts
+        # each byte is counted once: up to each stop in the segment, then the rest
+        at = 0
+        while stops and stops[-1] <= hi:
+            unmarked += seg.count(0, at, stops[-1] - lo)
+            at = stops.pop() - lo
+            found.append(unmarked)
+        unmarked += seg.count(0, at)
+    return found, counts
 
 
 def _sift(
@@ -249,7 +258,7 @@ def _sift(
     survivors, the sieved primes and _sieve_pass's counts for them.
     """
     primes = table.primes[: bisect_right(table.primes, min(z - 1, isqrt(x)))]
-    unmarked, counts = _sieve_pass(x, primes, want_counts)
+    (unmarked,), counts = _sieve_pass([x], primes, want_counts)
     return unmarked - (prime_count(min(z - 1, x), table) - len(primes)), primes, counts
 
 
@@ -326,6 +335,18 @@ def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:
     singles = bisect_right(tail, x)
     counts = [*zip(primes, sieved), *zip(tail, chain(repeat(1, singles), repeat(0)))]
     return LpfCensus(x, z, counts, survivors)
+
+
+def prime_counts(xs: list[int], table: PrimeTable) -> list[int]:
+    """pi(x) for each x >= 1 of the ascending xs, from one segmented pass to
+    xs[-1] that sieves the primes q <= r = isqrt(xs[-1]), q included: the
+    integers it leaves <= x are 1 and the primes in (min(x, r), x]."""
+    _check_x(xs[-1], counting=False)
+    r = isqrt(xs[-1])
+    if r > table.limit:
+        raise ValueError(f"prime_counts to {xs[-1]} needs a table to {r}, limit is {table.limit}")
+    unmarked, _ = _sieve_pass(xs, table.primes[: bisect_right(table.primes, r)], False)
+    return [u - 1 + prime_count(min(x, r), table) for x, u in zip(xs, unmarked)]
 
 
 def count_lpf(x: int, p: int, table: PrimeTable) -> int:

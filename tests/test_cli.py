@@ -368,7 +368,9 @@ def test_resource_cap_exit(capsys):
 def test_prime_table_limit_past_the_sieve_cap_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv, str(10**310))
     assert (code, out) == (3, "")
-    assert "prime table limit" in err
+    # chebyshev builds its table only to sqrt(x-max), so x-max itself is refused
+    what = "x" if argv[0] == "chebyshev" else "prime table limit"
+    assert f"resource cap: {what} = {10**310} exceeds the 2^48 sieve cap" in err
 
 
 def test_memory_budget_env_var(capsys, monkeypatch):
@@ -390,11 +392,21 @@ def test_memory_budget_binds_on_the_counting_route(capsys, monkeypatch):
 
 
 def test_memory_budget_counts_the_chebyshev_prime_table(capsys, monkeypatch):
+    # the table reaches only sqrt(x-max): a full one to 10^7 would take about 53 MB
     monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "2000000")
-    code, out, err = run_cli(capsys, "chebyshev", "--x-max", "1000000")
-    assert code == 3
-    assert "resource cap" in err
-    assert out == ""
+    code, out, _ = run_cli(capsys, "chebyshev", "--x-max", "10000000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "61555f026dce84f31d1e0bf5686a7ab78fe005489e6884e9f3919494a493af18"
+    )
+    # below the 1 MiB segment buffer of the pass to x-max, refused before the table
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "1000000")
+    _no_prime_table(monkeypatch)
+    code, out, err = run_cli(capsys, "chebyshev", "--x-max", "10000000")
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap: segment buffer would take about 1048576 bytes, budget is 1000000\n"
+    )
 
 
 @pytest.mark.parametrize("budget", ["abc", "-1", "0", "1e9"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sievelab import sieve
+from sievelab.cli import _chebyshev_grid
 from sievelab.errors import ResourceLimitError
 from sievelab.sieve import (
     build_prime_table,
@@ -15,6 +16,7 @@ from sievelab.sieve import (
     DP_MIN_X,
     _legendre_dp,
     prime_count,
+    prime_counts,
     sifting_primes,
     survivor_count,
 )
@@ -187,12 +189,35 @@ def test_survivor_structure_at_sqrt(table_1m):
 def test_census_independent_of_segment_size(table_1k, monkeypatch):
     baseline = lpf_census(50_000, 100, table_1k)
     # sizes 1..3 put one to three odd integers in a segment
-    for size in (1, 2, 3, 64, 1_000, 4_096, 1 << 20):
+    for size in (1, 2, 3, 7, 64, 1_000, 4_096, 1 << 20):
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
         c = lpf_census(50_000, 100, table_1k)
         assert c.counts == baseline.counts
         assert c.survivors == baseline.survivors
-    assert survivor_count(50_000, 100, table_1k) == baseline.survivors
+        assert survivor_count(50_000, 100, table_1k) == baseline.survivors
+
+
+@pytest.mark.parametrize("size", [7, 64, 1 << 20])
+def test_prime_counts_match_the_full_table(table_100k, monkeypatch, size):
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    # every chebyshev grid to 2000, each from a table only to sqrt(x-max)
+    for x_max in range(2, 2001):
+        grid = _chebyshev_grid(x_max, "default", 3, x_max)
+        table = build_prime_table(isqrt(x_max))
+        assert prime_counts(grid, table) == [prime_count(x, table_100k) for x in grid], x_max
+    # every end: stops inside a segment, on its last byte, and two ends
+    # (2j - 1 and 2j) on one stop, at segment boundaries of both sizes
+    for x_max in (13, 14, 15, 127, 128, 129, 2000):
+        ends = list(range(1, x_max + 1))
+        assert prime_counts(ends, table_100k) == [prime_count(x, table_100k) for x in ends]
+
+
+def test_prime_counts_at_seeded_points_to_1e7():
+    full = build_prime_table(10**7)
+    rng = random.Random(13)
+    xs = sorted({rng.randrange(2, 10**7 + 1) for _ in range(50)})
+    assert prime_counts(xs, build_prime_table(isqrt(xs[-1]))) == [prime_count(x, full) for x in xs]
+    assert prime_counts([10**7], build_prime_table(3162)) == [664579]
 
 
 def test_census_rejects_bad_arguments(table_1k):
