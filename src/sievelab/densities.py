@@ -1,9 +1,12 @@
 """Exact rational densities: Mertens products, least-prime-factor densities,
 and the telescoping identity linking them.
 
-Every quantity is a Fraction, so the identity checks are bit-exact rather
-than approximate.  The density of the least-prime-factor class of p uses the
-strict product over primes q < p; with that convention the telescoping sum
+Every quantity is exact, so the identity checks are bit-exact rather than
+approximate: a Fraction, or in the density table a pair of integer-valued
+Decimals (numerator, denominator), whose decimal text takes time linear in
+its digits where an int's takes quadratic.  The density of the
+least-prime-factor class of p uses the strict product over primes q < p;
+with that convention the telescoping sum
 
     sum_{p <= r} (1/p) * prod_{q < p} (1 - 1/q)  =  1 - prod_{p <= r} (1 - 1/p)
 
@@ -12,13 +15,12 @@ verify term by term.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple
 
-from .highprec import WORKING_PREC, fraction_to_decimal, ln_decimal
+from .highprec import EXACT, WORKING_PREC, fraction_to_decimal, ln_decimal
 from .sieve import PrimeTable, sifting_primes
 
 # Precision of the prime logarithms the harmonic chain sums: 15 digits past
@@ -54,31 +56,21 @@ def density_identity_check(
     return lhs, rhs, lhs == rhs
 
 
-def _telescope(
-    r_max: int, table: PrimeTable
-) -> Iterator[tuple[int, Fraction, Fraction, Fraction, Fraction]]:
-    """(p, g(p), partial sum through p, product below p, product through p)
-    for every prime p <= r_max, each row one step from the last."""
-    below = Fraction(1)
-    partial = Fraction(0)
-    for p in sifting_primes(table, r_max + 1):
-        g = below / p
-        partial += g
-        through = below * Fraction(p - 1, p)
-        yield p, g, partial, below, through
-        below = through
-
-
 def iter_density_identity(
     r_max: int, table: PrimeTable
 ) -> Iterator[tuple[int, Fraction, Fraction, bool]]:
     """density_identity_check at every prime r <= r_max, sharing prefix work.
 
     The sum of the densities and one minus the running product are both
-    carried forward by _telescope; each yielded tuple compares them exactly.
+    carried forward as Fractions; each yielded tuple compares them exactly.
+    This is the rational route the density table is tested against.
     """
-    for p, _, partial, _, through in _telescope(r_max, table):
-        rhs = 1 - through
+    partial = Fraction(0)
+    running = Fraction(1)
+    for p in sifting_primes(table, r_max + 1):
+        partial += running / p
+        running *= Fraction(p - 1, p)
+        rhs = 1 - running
         yield p, partial, rhs, partial == rhs
 
 
@@ -154,26 +146,73 @@ def iter_harmonic_chain(z_max: int, table: PrimeTable) -> Iterator[tuple[int, Ha
         yield z, HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z))
 
 
-@dataclass(frozen=True)
-class DensityEntry:
+# A rational as (numerator, denominator), integer-valued Decimals in lowest
+# terms: str() of one is linear in its digits where str(int) is quadratic.
+DecimalRatio = tuple[Decimal, Decimal]
+
+
+class DensityEntry(NamedTuple):
     p: int
-    g_p: Fraction
-    partial_sum: Fraction
-    mertens_below_p: Fraction
+    g_p: DecimalRatio
+    partial_sum: DecimalRatio
+    mertens_below_p: DecimalRatio
 
 
-def build_density_table(z: int, table: PrimeTable) -> list[DensityEntry]:
-    """Per-prime densities and partial sums for all primes p <= z.
+def _telescope(
+    z: int, table: PrimeTable
+) -> Iterator[tuple[int, Decimal, Decimal, Decimal, Decimal, Decimal]]:
+    """(p, S, U, P, a, b) through every prime p <= z, as integer Decimals.
 
-    Construction re-verifies the telescoping identity at every row and raises
-    ArithmeticError on any mismatch (which would indicate a defect here, not
-    bad input).
+    With P the product of the primes so far, S/P is the sum of their
+    densities and U/P the product of (1 - 1/q) over them, both unreduced;
+    a/b is that product in lowest terms.  Each prime costs a few products
+    and two divisions by small ints.  a/b times (p - 1)/p needs only
+    gg = gcd(p - 1, b) cancelled: b is squarefree and p does not divide a.
+    """
+    s, u, big_p, a, b = Decimal(0), Decimal(1), Decimal(1), Decimal(1), Decimal(1)
+    for p in sifting_primes(table, z + 1):
+        # not held across the yield: the caller's arithmetic keeps its context
+        with localcontext(EXACT):
+            s = s * p + u
+            u *= p - 1
+            big_p *= p
+            gg = gcd(p - 1, int(b % (p - 1)))
+            a *= (p - 1) // gg
+            b = b // gg * p
+        yield p, s, u, big_p, a, b
+
+
+def _density_entries(z: int, table: PrimeTable) -> Iterator[DensityEntry]:
+    """The rows of _telescope, each checked: S = P - U (the telescoping
+    identity, unreduced) at every prime, and a/b = U/P at the last.  Every
+    step scales both by the same (p - 1)/p, so equality at the last prime
+    means equality at every row."""
+    a = b = Decimal(1)
+    for p, s, u, big_p, a_next, b_next in _telescope(z, table):
+        with localcontext(EXACT):
+            if s != big_p - u:
+                raise ArithmeticError(f"telescoping identity failed at p = {p}")
+            entry = DensityEntry(p, (a, b * p), (b_next - a_next, b_next), (a, b))
+        yield entry
+        a, b = a_next, b_next
+    with localcontext(EXACT):
+        if a * big_p != u * b:
+            raise ArithmeticError(f"reduced and unreduced Mertens products differ at z = {z}")
+
+
+def build_density_table(z: int, table: PrimeTable) -> Iterator[DensityEntry]:
+    """Per-prime densities and partial sums for all primes p <= z, as an
+    iterator that makes one row at a time.
+
+    The whole table is built and checked once before this returns, and the
+    returned iterator builds it again, so no row is handed out before every
+    row has passed; a failed check raises ArithmeticError (a defect here,
+    not bad input).  Rows are g(p) = a/(b*p), the partial sum
+    1 - a'/b' = (b' - a')/b' with a'/b' the product through p, and the
+    product below p, a/b.
     """
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")
-    entries: list[DensityEntry] = []
-    for p, g, partial, below, through in _telescope(z, table):
-        if partial != 1 - through:
-            raise ArithmeticError(f"telescoping identity failed at p = {p}")
-        entries.append(DensityEntry(p, g, partial, below))
-    return entries
+    for _ in _density_entries(z, table):
+        pass
+    return _density_entries(z, table)

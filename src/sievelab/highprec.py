@@ -18,13 +18,35 @@ Reports render from the 60-digit value rounded again to 30 digits rather
 than from the fraction rounded once; the two differ where the 60-digit value
 lands on a 30-digit tie, and the report bytes are defined by the double
 rounding.
+
+Ints of any size are written in decimal by int_to_str: str() below about
+3900 digits, and past that (where Python's 4300-digit limit would refuse
+str()) by divide and conquer through exact Decimal arithmetic, as CPython
+3.12's _pylong.int_to_decimal_string does.  Quantities already held as
+integer-valued Decimals (the density table's) are lowered by decimal_quotient,
+one division at the working precision.
 """
 
-from decimal import Decimal, localcontext
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+    InvalidOperation, Overflow, localcontext,
+)
 from fractions import Fraction
 
 WORKING_PREC = 60
 RENDER_DIGITS = 30
+
+# Unrounded integer arithmetic: any result that would need rounding raises
+# instead.  An inexact division would try to allocate MAX_PREC digits and
+# fail with MemoryError, so it is never asked for here: only +, -, *, //, %.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                traps=[Inexact, InvalidOperation, DivisionByZero, Overflow])
+# int_to_str uses str() below this many bits, at most 3914 digits, safely
+# under the 4300-digit limit; str() is as fast as the split up to about 10^4
+# digits and quadratic beyond.
+_STR_BITS = 13_000
+# The split converts pieces of at most this many bits through Decimal(int).
+_PIECE_BITS = 1024
 
 
 def fraction_to_decimal(q: Fraction, prec: int = WORKING_PREC) -> Decimal:
@@ -61,6 +83,46 @@ def fraction_to_decimal(q: Fraction, prec: int = WORKING_PREC) -> Decimal:
             digits //= 10
             shift -= 1
     return Decimal(f"{sign}{digits}E{-shift}")
+
+
+def decimal_quotient(num: Decimal, den: Decimal, prec: int = WORKING_PREC) -> Decimal:
+    """num / den rounded to `prec` significant digits, for integer-valued
+    Decimals of any size; for integers it equals fraction_to_decimal of
+    Fraction(num, den), exponent included."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return num / den
+
+
+def _int_to_decimal(n: int) -> Decimal:
+    """The Decimal equal to n >= 0, in time subquadratic in its digits.
+
+    n is halved by bits, hi * 2^w + lo, until the pieces have at most
+    _PIECE_BITS bits; each piece goes through Decimal(int), and the halves
+    are joined exactly in EXACT, reusing each power of two.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def join(m: int, bits: int) -> Decimal:
+        if bits <= _PIECE_BITS:
+            return Decimal(m)
+        w = bits >> 1
+        hi = m >> w
+        power = powers.get(w)
+        if power is None:
+            power = powers[w] = Decimal(2) ** w
+        return join(hi, bits - w) * power + join(m - (hi << w), w)
+
+    with localcontext(EXACT):
+        return join(n, n.bit_length())
+
+
+def int_to_str(n: int) -> str:
+    """str(n) for an int of any size, without Python's int-to-str digit limit."""
+    if n.bit_length() < _STR_BITS:
+        return str(n)
+    text = str(_int_to_decimal(abs(n)))
+    return "-" + text if n < 0 else text
 
 
 def ln_decimal(n: int, prec: int = WORKING_PREC) -> Decimal:

@@ -3,12 +3,25 @@
 Everything here works by direct enumeration or trial division and never calls
 into sievelab, so the tests compare two independent routes to each quantity.
 read_csv parses a CSV report back into rows with the csv module alone.
+
+The one exception is density_report: the density table's text assembled from
+the package's Fraction routes (iter_density_identity for the partial sums,
+mertens_product for the products, fraction_to_decimal through render for the
+decimals), none of which the table itself uses.
 """
 
 import csv
 import io
+import json
+import sys
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
+
+from sievelab import densities
+from sievelab.highprec import render
+from sievelab.report import DENSITY_COLUMNS
+from sievelab.sieve import PrimeTable
 
 
 def is_prime(n: int) -> bool:
@@ -94,6 +107,44 @@ def fraction_to_decimal(q: Fraction, prec: int) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = prec
         return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def density_rows(z: int, table: PrimeTable) -> list[dict]:
+    """The density table's rows for the primes p <= z, from Fractions."""
+    rows = []
+    for p, partial, _, holds in densities.iter_density_identity(z, table):
+        assert holds, p
+        below = densities.mertens_product(p, table)
+        g = below / p
+        rows.append({"p": p, "g_exact": str(g), "g_dec": render(g),
+                     "partial_sum_exact": str(partial), "partial_sum_dec": render(partial),
+                     "mertens_below_exact": str(below), "mertens_below_dec": render(below)})
+    return rows
+
+
+def density_report(rows: list[dict], fmt: str) -> str:
+    """density_rows as the CSV (csv module) or JSON (json.dumps) report."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(DENSITY_COLUMNS)
+    writer.writerows([row[c] for c in DENSITY_COLUMNS] for row in rows)
+    return buf.getvalue()
+
+
+@contextmanager
+def int_digit_limit_lifted():
+    """Python's int-to-str digit limit off inside the block, restored after
+    (the limit exists from Python 3.10.7 and 3.11 on)."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 def read_csv(text: str) -> list[dict[str, str]]:

@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from argparse import Namespace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 
 from sievelab import cli, densities, errorlab, moebius, sieve
 from sievelab.cli import load_config_file, main, parse_x_spec, parse_z_spec
+import oracles
 from oracles import read_csv
 
 
@@ -318,6 +321,45 @@ def test_density_table_cmd(capsys):
     assert rows[-1]["partial_sum_exact"] == "27/35"
 
 
+def _ratio(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
+def _most_digits(row: dict[str, str]) -> int:
+    """The most digits of a numerator or denominator in the row's exact columns."""
+    return max(len(part.lstrip("-")) for column, text in row.items()
+               if column.endswith("_exact") for part in text.split("/"))
+
+
+# The first z past Python's 4300-digit int-to-str limit, and one further out.
+@pytest.mark.parametrize("z", [12_277, 13_000])
+def test_density_table_past_the_int_digit_limit(capsys, z):
+    code, out, err = run_cli(capsys, "density-table", "--z", str(z))
+    assert (code, err) == (0, "")
+    rows = read_csv(out)
+    assert rows[-1]["p"] == str(max(p for p in range(z - 30, z + 1) if oracles.is_prime(p)))
+    with oracles.int_digit_limit_lifted():
+        for row in rows:
+            p = int(row["p"])
+            below = _ratio(row["mertens_below_exact"])
+            assert _ratio(row["partial_sum_exact"]) == 1 - below * Fraction(p - 1, p), p
+    assert _most_digits(rows[-1]) > 4_300
+
+
+def test_sweep_past_the_int_digit_limit(capsys):
+    # the smallest x under --z sqrt whose exact columns pass 4300 digits
+    code, out, err = run_cli(capsys, "sweep", "--x", "100161993", "--z", "sqrt",
+                             "--no-moebius-check")
+    assert (code, err) == (0, "")
+    (row,) = read_csv(out)
+    assert row["z"] == "10008"
+    with oracles.int_digit_limit_lifted():
+        main_term, error = _ratio(row["main_term_exact"]), _ratio(row["error_exact"])
+        assert error == int(row["survivors"]) - main_term
+    assert _most_digits(row) > 4_300
+
+
 _OUT_OF_RANGE = [
     (["chebyshev", "--random", "-3"], "argument --random: expected an integer >= 0, got '-3'"),
     (["verify-identities", "--limit", "-1"],
@@ -460,6 +502,46 @@ def test_python_m_sievelab_runs_the_command_line(capsys):
     assert _run_module("chebyshev", "--x-max", "100000", SIEVELAB_MEMORY_BUDGET="1000") == (3, "")
 
 
+# Prints whether a 4 MiB block is mmapped right after an 8 MiB one was freed,
+# reading glibc's mallinfo2; with an argument, after a density-table run.
+_MAPPED_AFTER_A_FREE = """
+import ctypes, os, sys
+from sievelab import cli
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes = ()
+mallinfo2.restype = Mallinfo2
+
+if sys.argv[1:]:
+    assert cli.main(["density-table", "--z", "10", "--out", os.devnull]) == 0
+freed = bytearray(8 << 20)
+del freed
+before = mallinfo2().hblkhd
+block = bytearray(4 << 20)
+print(mallinfo2().hblkhd - before >= 4 << 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+@pytest.mark.parametrize("argv, mapped", [([], "False"), (["density"], "True")])
+def test_density_table_pins_the_mmap_threshold(argv, mapped):
+    # Unpinned, freeing the 8 MiB block raises glibc's threshold past 4 MiB,
+    # and the next large block grows on the brk heap: a report held in an
+    # io.BytesIO then reached up to twice its size, by an amount that
+    # depended on the heap's history.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAPPED_AFTER_A_FREE, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == mapped
+
+
 def test_load_config_file_parses_comments(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment\nx = pow2:4..8   # trailing\n\nmax-pi-z = 10\n"
@@ -541,9 +623,17 @@ def _unordered(real):
 
 
 def _partial_sums_one_too_large(real):
+    # the unreduced numerator S of the partial sum S/P, one too large
     return lambda *args, **kwargs: (
-        (p, g, partial + 1, below, through)
-        for p, g, partial, below, through in real(*args, **kwargs)
+        (p, Decimal(int(s) + 1), u, big_p, a, b)
+        for p, s, u, big_p, a, b in real(*args, **kwargs)
+    )
+
+
+def _reduced_denominators_one_too_large(real):
+    return lambda *args, **kwargs: (
+        (p, s, u, big_p, a, Decimal(int(b) + 1))
+        for p, s, u, big_p, a, b in real(*args, **kwargs)
     )
 
 
@@ -566,6 +656,16 @@ def test_a_disagreeing_route_exits_1_with_no_report(capsys, monkeypatch, module,
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("exact check failed: ")
+
+
+def test_a_wrong_reduced_product_exits_1_before_any_row(capsys, monkeypatch, tmp_path):
+    # caught once, after the last prime, and still before the first byte
+    monkeypatch.setattr(densities, "_telescope",
+                        _reduced_denominators_one_too_large(densities._telescope))
+    out_path = tmp_path / "table.csv"
+    code, out, err = run_cli(capsys, "density-table", "--z", "100", "--out", str(out_path))
+    assert (code, out, out_path.read_text()) == (1, "", "")
+    assert err == "exact check failed: reduced and unreduced Mertens products differ at z = 100\n"
 
 
 # (family, the module that defines the broken route, the route, how to break it)

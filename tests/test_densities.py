@@ -1,10 +1,12 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sievelab.cli import main
 from sievelab.densities import (
     build_density_table,
     density_identity_check,
@@ -94,12 +96,39 @@ def test_harmonic_chain_logs_match_direct_ln_over_full_range():
 
 
 def test_density_table_rows(table_1k):
-    entries = build_density_table(10, table_1k)
+    # (numerator, denominator) pairs of integer Decimals, in lowest terms
+    entries = list(build_density_table(10, table_1k))
     assert [e.p for e in entries] == [2, 3, 5, 7]
-    g = [Fraction(1, 2), Fraction(1, 6), Fraction(1, 15), Fraction(4, 105)]
-    assert [e.g_p for e in entries] == g
-    assert entries[-1].partial_sum == Fraction(27, 35)
-    assert entries[-1].mertens_below_p == Fraction(4, 15)
+    assert [e.g_p for e in entries] == [(1, 2), (1, 6), (1, 15), (4, 105)]
+    assert entries[-1].partial_sum == (27, 35)
+    assert entries[-1].mertens_below_p == (4, 15)
+    assert entries[0].mertens_below_p == (1, 1)
+
+
+def _density_report(capsys, z: int, fmt: str) -> str:
+    assert main(["density-table", "--z", str(z), "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_density_table_matches_the_fraction_oracle_at_every_z_to_1500(capsys):
+    # the table changes only at a prime z, so JSON, whose writer does not
+    # depend on z, is compared there; CSV at every z
+    rows = oracles.density_rows(1_500, _TABLE_5K)
+    primes = [row["p"] for row in rows]
+    # the header and one line per prime
+    csv_lines = oracles.density_report(rows, "csv").splitlines(keepends=True)
+    for z in range(2, 1_501):
+        k = bisect_right(primes, z)
+        assert _density_report(capsys, z, "csv") == "".join(csv_lines[: 1 + k]), z
+        if z in primes:
+            expected = oracles.density_report(rows[:k], "json")
+            assert _density_report(capsys, z, "json") == expected, z
+
+
+def test_density_table_matches_the_fraction_oracle_at_5000(capsys):
+    rows = oracles.density_rows(5_000, _TABLE_5K)
+    for fmt in ("csv", "json"):
+        assert _density_report(capsys, 5_000, fmt) == oracles.density_report(rows, fmt)
 
 
 def test_rationals_stay_reduced(table_1k):
@@ -131,3 +160,4 @@ def test_harmonic_chain_property(z):
 
 
 _TABLE = build_prime_table(1_000)
+_TABLE_5K = build_prime_table(5_000)

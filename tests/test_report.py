@@ -18,6 +18,7 @@ from sievelab.report import (
     error_row,
     format_rows,
     probe_row,
+    write_rows,
 )
 from oracles import read_csv
 
@@ -123,7 +124,7 @@ _ROW_KINDS = {
     "chebyshev": (lambda table: [
         chebyshev_row(chebyshev_check(x, table)) for x in (2, 4, 16, 100, 997, 1000)
     ], CHEBYSHEV_COLUMNS),
-    "density-table": (lambda table: density_rows(build_density_table(300, table)),
+    "density-table": (lambda table: list(density_rows(build_density_table(300, table))),
                       DENSITY_COLUMNS),
 }
 
@@ -143,3 +144,26 @@ def test_csv_matches_the_csv_module(table_1k, kind):
     writer.writerow(columns)
     writer.writerows([row[c] for c in columns] for row in rows)
     assert format_rows(rows, columns, "csv") == buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", _ROW_KINDS)
+def test_json_matches_json_dumps(table_1k, kind):
+    build, columns = _ROW_KINDS[kind]
+    rows = build(table_1k)
+    for some in (rows, rows[:1], []):
+        expected = json.dumps([{c: row[c] for c in columns} for row in some], indent=2) + "\n"
+        assert format_rows(some, columns, "json") == expected
+
+
+def test_write_rows_writes_each_row_as_it_is_made():
+    columns = ["p", "q"]
+    out = io.StringIO()
+
+    def rows():
+        for p in (2, 3):
+            yield {"p": p, "q": None}
+            # what is written so far ends with the row just made
+            assert out.getvalue().endswith(f"{p},\n")
+
+    write_rows(rows(), columns, "csv", out)
+    assert out.getvalue() == "p,q\n2,\n3,\n"
