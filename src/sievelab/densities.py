@@ -15,7 +15,7 @@ verify term by term.
 """
 
 from bisect import bisect_right
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple
@@ -23,10 +23,16 @@ from typing import Iterator, NamedTuple
 from .highprec import EXACT, WORKING_PREC, fraction_to_decimal, ln_decimal
 from .sieve import PrimeTable, sifting_primes
 
-# Precision of the prime logarithms the harmonic chain sums: 15 digits past
-# the working precision, so the one rounding of the sum gives ln z correctly
-# rounded to WORKING_PREC digits.
+# The harmonic chain carries ln z as an integer scaled by 10^75: at least 75
+# significant digits for z >= 2, 15 past the working precision.  It is low by
+# at most about 10^-72 below z = 10^4, so the one rounding to WORKING_PREC
+# digits gives ln z correctly rounded there (a test checks every z).
 _LOG_GUARD_PREC = 75
+_LOG_ONE = 10**_LOG_GUARD_PREC
+_WORKING = Context(prec=WORKING_PREC)
+# Floats further apart than this share of the larger are ordered as the
+# exact values they round (see _chain_ordered).
+_FLOAT_MARGIN = 1e-9
 
 
 def mertens_product(z: int, table: PrimeTable) -> Fraction:
@@ -81,17 +87,47 @@ class HarmonicChain(NamedTuple):
     ordered: bool
 
 
-def _chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal) -> bool:
+def _chain_ordered_exactly(z: int, inv: Fraction, harm: Fraction, log_z: Decimal) -> bool:
+    """The chain's order from the exact rationals and harm rounded to
+    WORKING_PREC digits against log z: the route for near-ties."""
     # at z = 2 the first link degenerates to 1 >= 1; strictness starts at z = 3
     first = inv >= harm if z == 2 else inv > harm
     return first and fraction_to_decimal(harm) > log_z
 
 
+def _apart(a: float, b: float) -> bool:
+    return abs(a - b) > _FLOAT_MARGIN * max(abs(a), abs(b))
+
+
+def _chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal) -> bool:
+    """inv > harm > log_z (inv >= harm at z = 2), decided in floats when
+    both links are wider than _FLOAT_MARGIN and by _chain_ordered_exactly
+    otherwise.
+
+    float() of a Fraction divides its numerator by its denominator and
+    float() of a Decimal parses its digits, both correctly rounded, so each
+    float is within 2^-53 of its value, relatively, and the two roundings
+    move a difference by at most about 2.2e-16 of the larger value.  A gap of
+    more than 1e-9 of it therefore has the sign of the exact difference, and
+    of the difference between harm and log z at WORKING_PREC digits, so the
+    floats decide exactly what _chain_ordered_exactly would.  From z = 3 on
+    the links are far wider: inv / harm >= 4/3, and harm / log z - 1 is
+    about gamma / ln z (0.063 at z = 10^4).  At z = 2 the first link meets
+    (1 = 1), so that point always takes the exact route.
+    """
+    a, b, c = float(inv), float(harm), float(log_z)
+    if _apart(a, b) and _apart(b, c):
+        return a > b > c
+    return _chain_ordered_exactly(z, inv, harm, log_z)
+
+
 def harmonic_lower_bound_check(z: int, table: PrimeTable) -> HarmonicChain:
     """The chain prod(1-1/p)^-1 > sum_{k<z} 1/k > log z, evaluated exactly.
 
-    Rational legs are compared exactly; the logarithm is taken at 60
-    significant digits, far beyond the gap between the quantities.
+    The rationals are exact and ln z is Decimal's, at 60 significant digits;
+    the links are ordered as _chain_ordered decides, in floats where they
+    are more than 1e-9 apart, relatively, and exactly otherwise.
+    iter_harmonic_chain takes ln z by another route.
     """
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")
@@ -101,48 +137,59 @@ def harmonic_lower_bound_check(z: int, table: PrimeTable) -> HarmonicChain:
     return HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z))
 
 
-def _ln_from_factors(z: int, least: list[int], prime_logs: dict[int, Decimal]) -> Decimal:
-    """ln z as the sum of the logs of its prime factors, rounded once.
+def _log_ratio(p: int) -> int:
+    """ln(p / (p - 1)) = 2 atanh(1 / (2p - 1)), scaled by _LOG_ONE.
 
-    least[m] is the least prime factor of a composite m and 0 for a prime;
-    prime_logs caches each prime's log at _LOG_GUARD_PREC digits.
+    The series sum_i y^(2i+1) / (2i+1), y = 1 / (2p - 1), gains
+    2 log10(2p - 1) digits a term (about 12 terms at p = 1000).  Each power
+    is floored exactly and each term truncated, so the result is low by less
+    than four units a term, doubling included.
     """
-    with localcontext() as ctx:
-        ctx.prec = _LOG_GUARD_PREC
-        total = Decimal(0)
-        while z > 1:
-            p = least[z] or z
-            log_p = prime_logs.get(p)
-            if log_p is None:
-                log_p = prime_logs[p] = ln_decimal(p, _LOG_GUARD_PREC)
-            total += log_p
-            z //= p
-        ctx.prec = WORKING_PREC
-        return +total
+    k = 2 * p - 1
+    k2 = k * k
+    power = _LOG_ONE // k
+    total = 0
+    n = 1
+    while power:
+        total += power // n
+        power //= k2
+        n += 2
+    return 2 * total
 
 
 def iter_harmonic_chain(z_max: int, table: PrimeTable) -> Iterator[tuple[int, HarmonicChain]]:
     """harmonic_lower_bound_check for every z in [2, z_max], incrementally.
 
-    log z is summed from the logs of the prime factors of z, so each prime's
-    logarithm is taken once; harmonic_lower_bound_check takes ln z directly.
+    ln z is carried as an integer scaled by _LOG_ONE: for a composite z it
+    is the sum of the logs of its least prime factor p and of z / p, kept in
+    a list to z_max // 2, and for a prime z it is ln(z - 1) + ln(z / (z - 1))
+    by _log_ratio, so no logarithm is ever taken.  Each is rounded once to
+    WORKING_PREC digits.  The sums are exact; the series' truncations leave
+    ln z low by about 10^-72 at most below 10^4, against 15 guard digits.
+    Links are ordered by _chain_ordered, and harmonic_lower_bound_check is
+    the independent route, taking ln z from Decimal.ln.
     """
     if z_max < 2:
         return
     primes = sifting_primes(table, z_max)
-    prime_set = set(primes)
     least = [0] * (z_max + 1)
     # descending, so the least prime factor is the last one written
     for p in reversed(primes[: bisect_right(primes, isqrt(z_max))]):
         least[p * p :: p] = [p] * len(range(p * p, z_max + 1, p))
-    prime_logs: dict[int, Decimal] = {}
+    # only a least prime factor or a cofactor is looked up, both <= z_max // 2
+    logs = [0] * (z_max // 2 + 1)
+    log = 0
     inv = Fraction(1)
     harm = Fraction(0)
     for z in range(2, z_max + 1):
         harm += Fraction(1, z - 1)
-        if z - 1 in prime_set:
+        if z > 2 and not least[z - 1]:
             inv *= Fraction(z - 1, z - 2)
-        log_z = _ln_from_factors(z, least, prime_logs)
+        p = least[z]
+        log = logs[p] + logs[z // p] if p else log + _log_ratio(z)
+        if z < len(logs):
+            logs[z] = log
+        log_z = Decimal(log).scaleb(-_LOG_GUARD_PREC, _WORKING)
         yield z, HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z))
 
 

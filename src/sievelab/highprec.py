@@ -1,9 +1,11 @@
 """High-precision real arithmetic on top of the stdlib decimal module.
 
 Exact quantities live as Fractions everywhere else in the package; this module
-is the single place where they are lowered to decimals for logarithm
-comparisons, ratio columns and report rendering.  The working precision (60
-significant digits) comfortably exceeds the 50 digits the comparisons need.
+is the single place where they are lowered to decimals for ratio columns,
+report rendering and the harmonic chain's near-tie comparisons (the chain
+compares correctly rounded floats where its sides are far apart).  The
+working precision (60 significant digits) comfortably exceeds the 50 digits
+the comparisons need.
 
 A fraction n/d is lowered with integer arithmetic alone: one divmod of n
 scaled by a power of ten against d yields the `prec`-digit quotient and its
@@ -125,12 +127,12 @@ def int_to_str(n: int) -> str:
     return "-" + text if n < 0 else text
 
 
-def ln_decimal(n: int, prec: int = WORKING_PREC) -> Decimal:
-    """Natural logarithm of a positive integer at `prec` significant digits."""
+def ln_decimal(n: int) -> Decimal:
+    """Natural logarithm of a positive integer at WORKING_PREC significant digits."""
     if n <= 0:
         raise ValueError(f"ln requires a positive argument, got {n}")
     with localcontext() as ctx:
-        ctx.prec = prec
+        ctx.prec = WORKING_PREC
         return Decimal(n).ln()
 
 

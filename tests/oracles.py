@@ -109,6 +109,13 @@ def fraction_to_decimal(q: Fraction, prec: int) -> Decimal:
         return Decimal(q.numerator) / Decimal(q.denominator)
 
 
+def chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal) -> bool:
+    """The harmonic chain's order by exact comparison: inv > harm as
+    Fractions (>= at z = 2), then harm at 60 digits against log z."""
+    first = inv >= harm if z == 2 else inv > harm
+    return first and fraction_to_decimal(harm, 60) > log_z
+
+
 def density_rows(z: int, table: PrimeTable) -> list[dict]:
     """The density table's rows for the primes p <= z, from Fractions."""
     rows = []

@@ -1,11 +1,13 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sievelab import densities
 from sievelab.cli import main
 from sievelab.densities import (
     build_density_table,
@@ -15,7 +17,7 @@ from sievelab.densities import (
     iter_harmonic_chain,
     mertens_product,
 )
-from sievelab.highprec import ln_decimal
+from sievelab.highprec import fraction_to_decimal, ln_decimal
 from sievelab.sieve import build_prime_table
 
 
@@ -79,13 +81,77 @@ def test_harmonic_chain_examples(table_1k):
     assert r.ordered
 
 
-def test_harmonic_chain_incremental_matches_pointwise(table_1k):
-    rows = dict(iter_harmonic_chain(60, table_1k))
-    for z in (2, 3, 10, 31, 60):
-        assert rows[z] == harmonic_lower_bound_check(z, table_1k)
-    assert all(rec.ordered for rec in rows.values())
+def test_harmonic_chain_incremental_matches_pointwise():
+    # the two routes share only _chain_ordered: ln z by series and sums
+    # against Decimal.ln, running products and sums against fresh ones
+    rows = dict(iter_harmonic_chain(10_000, _TABLE_10K))
+    for z in [*range(2, 401), 9973, 9974, 10_000]:
+        rec, direct = rows[z], harmonic_lower_bound_check(z, _TABLE_10K)
+        assert rec.product_inverse == direct.product_inverse, z
+        assert rec.harmonic == direct.harmonic, z
+        assert rec.log_z.as_tuple() == direct.log_z.as_tuple(), z
+        assert rec.ordered and direct.ordered, z
+        assert rec == direct, z
     assert rows[10].harmonic == oracles.harmonic(10)
-    assert list(iter_harmonic_chain(1, table_1k)) == []  # no z in [2, z_max]
+    # a shorter run is a prefix: the logs it keeps end at z_max // 2
+    for z_max in range(2, 41):
+        assert list(iter_harmonic_chain(z_max, _TABLE_10K)) == list(rows.items())[: z_max - 1]
+    assert list(iter_harmonic_chain(1, _TABLE_10K)) == []  # no z in [2, z_max]
+
+
+_POSITIVE = st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=10**80)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    z=st.integers(2, 10_000),
+    inv=_POSITIVE,
+    harm=_POSITIVE,
+    log_z=_POSITIVE.map(lambda q: fraction_to_decimal(q, 60)),
+)
+def test_certified_chain_order_equals_the_exact_one(z, inv, harm, log_z):
+    with patch.object(densities, "_chain_ordered_exactly", wraps=densities._chain_ordered_exactly) as exact:
+        assert densities._chain_ordered(z, inv, harm, log_z) == oracles.chain_ordered(z, inv, harm, log_z)
+    # the floats decide every pair of links far apart, and only those
+    links = [(float(inv), float(harm)), (float(harm), float(log_z))]
+    far = all(abs(a - b) > 1e-6 * max(a, b) for a, b in links)
+    near = any(abs(a - b) < 1e-12 * max(a, b) for a, b in links)
+    if far:
+        assert exact.call_count == 0
+    if near:
+        assert exact.call_count == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    z=st.integers(2, 10_000),
+    q=_POSITIVE,
+    side=st.sampled_from([-1, 0, 1]),
+    link=st.sampled_from(["first", "second"]),
+)
+def test_near_ties_take_the_exact_route(z, q, side, link):
+    # q against q + side * 10^-70: at most one float apart, far inside the margin
+    near = q + side * Fraction(1, 10**70)
+    if link == "first":
+        inv, harm, log_z = near, q, fraction_to_decimal(q / 2, 60)
+        expected = side > 0 or (side == 0 and z == 2)
+    else:
+        inv, harm, log_z = 2 * q, q, fraction_to_decimal(near, 75)
+        expected = oracles.chain_ordered(z, inv, harm, log_z)
+    with patch.object(densities, "_chain_ordered_exactly", wraps=densities._chain_ordered_exactly) as exact:
+        assert densities._chain_ordered(z, inv, harm, log_z) == expected
+    assert exact.call_count == 1
+
+
+def test_the_chain_meets_itself_at_z_2_only_through_the_exact_route():
+    # 1 = 1 at z = 2: the first link holds as >=, and no float margin decides it
+    one = Fraction(1)
+    with patch.object(densities, "_chain_ordered_exactly", wraps=densities._chain_ordered_exactly) as exact:
+        assert densities._chain_ordered(2, one, one, ln_decimal(2))
+        assert not densities._chain_ordered(3, one, one, ln_decimal(2))
+        assert harmonic_lower_bound_check(2, _TABLE).ordered
+        assert dict(iter_harmonic_chain(2, _TABLE))[2].ordered
+    assert exact.call_count == 4
 
 
 def test_harmonic_chain_logs_match_direct_ln_over_full_range():
@@ -161,3 +227,4 @@ def test_harmonic_chain_property(z):
 
 _TABLE = build_prime_table(1_000)
 _TABLE_5K = build_prime_table(5_000)
+_TABLE_10K = build_prime_table(10_000)
