@@ -16,23 +16,28 @@ x as one integer, and prime_counts reads pi at ascending x from one pass.
 survivor_count has two routes, chosen by x alone.  Below DP_MIN_X = 2^20 it
 runs the survivor-only segmented pass, a single segment at that size.  From
 DP_MIN_X on it evaluates Legendre's sum as Lucy Hedgehog's dynamic programme
-over the O(sqrt x) values x // k, in O(x^(3/4)) steps.  lpf_census always
-sieves, so at large x its survivors and survivor_count are independent
-routes.
+over the O(sqrt x) values x // k, in O(x^(3/4)) steps.  The DP starts after
+the wheel primes 2, 3, 5, 7, 11 and 13: Legendre's phi(v, a) is periodic
+modulo their product P_a, phi(v, a) = (v // P_a) phi(P_a) + phi(v mod P_a, a)
+(Lehmer 1959; Lagarias, Miller and Odlyzko 1985), so one cached table of
+phi mod P_a <= 30030 replaces their rounds.  lpf_census always sieves, so at
+large x its survivors and survivor_count are independent routes.
 
 Two caps bound a run, each checked before any sieving: MAX_SIEVE_X on x and
 on the prime-table limit, and the memory budget (the SIEVELAB_MEMORY_BUDGET
-environment variable) on the prime table, the segment buffer and the DP's two
-lists.  check_survivor_count makes survivor_count's checks on x alone, so a
-caller can make them before it builds a prime table.
+environment variable) on the prime table, the segment buffer, and the DP's
+two lists and wheel tables.  check_survivor_count makes survivor_count's
+checks on x alone, so a caller can make them before it builds a prime table.
 """
 
 import os
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from math import ceil, isqrt, log
+from functools import cache
+from itertools import accumulate, chain, compress, repeat
+from math import ceil, isqrt, log, prod
 
 from .errors import ResourceLimitError
 
@@ -41,12 +46,13 @@ from .errors import ResourceLimitError
 # force segment boundaries.
 SEGMENT_SIZE = 1 << 20
 # survivor_count uses the DP from here on.  The segmented pass grows as x,
-# the DP as x^(3/4), and the crossover depends on z: the DP wins from 2^19 on
-# at z = 29, but only from about 2^20.5 on at z = sqrt(x) (pass against DP on
-# CPython 3.11, 2 vCPUs: 3.4 against 4.2 ms at 2^20, 6.1 against 4.2 ms at
-# 2^21).  Below 2^20 the pass is one segment of at most 2^19 bytes; a larger
-# threshold lets that segment grow on top of the DP's freed ints
-# (BENCH_7.json measures 2^19, 2^20 and 2^21).
+# the DP as x^(3/4), and the crossover depends on z.  With the wheel the DP
+# wins from 2^16 on at z = 29 (0.15 against 0.18 ms), but at z = sqrt(x)
+# only between 2^19 and 2^20 (pass against DP, best of 9 on CPython 3.11,
+# 2 vCPUs: 1.1 against 1.5 ms at 2^18.5, 1.6 against 1.9 ms at 2^19, 3.8
+# against 3.1 ms at 2^20).  Below 2^20 the pass is one segment of at most
+# 2^19 bytes; a larger threshold lets that segment grow on top of the DP's
+# freed ints (BENCH_7.json measures 2^19, 2^20 and 2^21, before the wheel).
 DP_MIN_X = 1 << 20
 # Feasibility cap on x and on the prime-table limit: lpf_census sieves 10^8
 # integers in under a second, so a census near 2^48 takes weeks; a larger
@@ -54,6 +60,15 @@ DP_MIN_X = 1 << 20
 MAX_SIEVE_X = 1 << 48
 DEFAULT_MEMORY_BUDGET = 1 << 30
 MEMORY_BUDGET_ENV = "SIEVELAB_MEMORY_BUDGET"
+# _legendre_dp makes the rounds of these primes in closed form, from one
+# table of phi mod their product, 30030.  With 17 the product is 510510, and
+# its table needs 4-byte entries (phi = 92160): 2 MB, built in 30 ms against
+# 3 ms, for DP times within 10% of these at 2^20 to 10^8.
+WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+# The _wheel_phi tables for 0..6 wheel primes hold 67 KB, and building the
+# largest adds a flag byte per residue (tracemalloc peak 97 KB): at most 4
+# bytes per residue of 30030.
+_WHEEL_TABLE_BYTES = 4 * prod(WHEEL_PRIMES)
 
 
 def memory_budget() -> int:
@@ -170,17 +185,20 @@ def _check_sifting(z: int, table: PrimeTable) -> None:
 
 def _check_x(x: int, counting: bool) -> None:
     """Refuse to sift [1, x] before any work: x past MAX_SIEVE_X, or the
-    memory of its route past the budget, the counting lists of _legendre_dp
-    when `counting`, else the segment buffer of _sieve_pass.
+    memory of its route past the budget, the counting lists and the wheel
+    tables of _legendre_dp when `counting`, else the segment buffer of
+    _sieve_pass.
 
     The DP holds two lists of r + 1 ints, r = isqrt(x), and while a range is
     rebuilt its new ints and slices: up to 4 (r + 1) list slots and ints no
     larger than x at the peak (tracemalloc measured 2.7 to 3.7 of them from
-    x = 2^19 to 10^9).
+    x = 2^19 to 10^9).  The wheel tables stay cached once built, and are
+    reserved with every DP so that the budget covers all the route holds.
     """
     _check_cap(x, "x")
     if counting:
-        _reserve(4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x)), f"counting lists for x = {x}")
+        need = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x)) + _WHEEL_TABLE_BYTES
+        _reserve(need, f"counting lists for x = {x} and wheel tables")
     else:
         _reserve(min(SEGMENT_SIZE, (x + 1) // 2), "segment buffer")
 
@@ -262,25 +280,53 @@ def _sift(
     return unmarked - (prime_count(min(z - 1, x), table) - len(primes)), primes, counts
 
 
+@cache
+def _wheel_phi(a: int) -> tuple[int, int, array]:
+    """(P, phi(P), table) for the first a wheel primes, P their product:
+    table[m] = phi(m, a), the integers in [1, m] prime to P, for 0 <= m < P,
+    so phi(v, a) = (v // P) phi(P) + table[v % P].  phi(P) <= 5760 fits "H"."""
+    period = prod(WHEEL_PRIMES[:a])
+    flags = bytearray(b"\x01") * period
+    flags[0] = 0
+    for p in WHEEL_PRIMES[:a]:
+        flags[::p] = bytes(len(range(0, period, p)))
+    return period, prod(p - 1 for p in WHEEL_PRIMES[:a]), array("H", accumulate(flags))
+
+
 def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     """survivor_count(x, z, table) for x >= 1 by Lucy Hedgehog's programme.
 
     S(v) counts the integers in [2, v] that are prime or have no factor
-    among the primes sifted so far; it starts at v - 1 and is kept only at
-    the values x // k: small[v] for v <= r = isqrt(x), large[k] = S(x // k)
-    for k <= r.  Sifting by p removes p*m for every m in [p, v // p] with no
-    prime factor below p, S(v // p) - S(p - 1) of them, from each S(v) with
+    among the primes sifted so far, and is kept only at the values x // k:
+    small[v] for v <= r = isqrt(x), large[k] = S(x // k) for k <= r.  The
+    rounds are the primes p < z with p <= r.  The first w = min(#rounds, 6),
+    the wheel primes, are made in closed form, so S(v) starts at
+    phi(v, w) - 1 + #{the first w wheel primes <= v}, phi from _wheel_phi.
+    A later round p removes p*m for every m in [p, v // p] with no prime
+    factor below p, S(v // p) - S(p - 1) of them, from each S(v) with
     v >= p^2.  Like an in-place pass over large by ascending k, then small
     by descending v, every update of a round reads values of the previous
     round, so each range is rebuilt from slices of the old lists.  After the
-    primes p < z with p <= r, S(x) counts the primes <= x and the composites
-    with no factor below z, so the survivors are 1 + S(x) - pi(min(z - 1, x)).
-    Its memory is checked by _check_x.
+    last round, S(x) counts the primes <= x and the composites with no
+    factor below z, so the survivors are 1 + S(x) - pi(min(z - 1, x)).  Its
+    memory is checked by _check_x.
     """
     r = isqrt(x)
-    small = list(range(-1, r))
-    large = [0, *(x // k - 1 for k in range(1, r + 1))]
-    for p in table.primes[: bisect_right(table.primes, min(z - 1, r))]:
+    primes = table.primes[: bisect_right(table.primes, min(z - 1, r))]
+    w = min(len(primes), len(WHEEL_PRIMES))
+    period, phi_period, phi = _wheel_phi(w)
+    # S(v) = phi(v, w) + w - 1 for v at or above the w-th wheel prime, and
+    # only such v are read: large holds x // k >= r, and a later round p reads
+    # small from p - 1 on.  Below it small is left too high by the wheel
+    # primes above v.
+    c = w - 1
+    small = [
+        q * phi_period + c + f for q in range(r // period + 1) for f in phi[: r + 1 - q * period]
+    ]
+    large = [0] + [
+        (v // period) * phi_period + phi[v % period] + c for k in range(1, r + 1) for v in (x // k,)
+    ]
+    for p in primes[w:]:
         below = small[p - 1]
         p2 = p * p
         k_max = min(r, x // p2)

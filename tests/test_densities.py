@@ -155,7 +155,8 @@ def test_the_chain_meets_itself_at_z_2_only_through_the_exact_route():
 
 
 def test_harmonic_chain_logs_match_direct_ln_over_full_range():
-    # log z is summed from prime-factor logs; ln_decimal takes it directly
+    # the chain builds log z from series logs of primes and sums of earlier
+    # entries; ln_decimal takes it directly
     table = build_prime_table(10_000)
     for z, rec in iter_harmonic_chain(10_000, table):
         assert rec.log_z.as_tuple() == ln_decimal(z).as_tuple(), z

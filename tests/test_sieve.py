@@ -1,4 +1,5 @@
 import random
+import sys
 from math import isqrt
 
 import pytest
@@ -245,6 +246,39 @@ def test_dp_lists_are_held_to_the_memory_budget(table_1k, monkeypatch):
         survivor_count(1 << 48, 3, table_1k)
 
 
+def test_the_dp_budget_covers_the_wheel_tables(table_1k, monkeypatch):
+    x = DP_MIN_X
+    expected = lpf_census(x, 29, table_1k).survivors
+    lists = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x))
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", str(lists + sieve._WHEEL_TABLE_BYTES - 1))
+    with pytest.raises(ResourceLimitError, match="wheel tables"):
+        survivor_count(x, 29, table_1k)
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", str(lists + sieve._WHEEL_TABLE_BYTES))
+    assert survivor_count(x, 29, table_1k) == expected
+
+
+def test_legendre_dp_matches_the_oracle_on_both_sides_of_each_wheel_prime(table_1k):
+    # below 13^2 = 169 there are fewer wheel rounds than z allows
+    for x in range(1, 301):
+        for z in range(2, 19):
+            assert _legendre_dp(x, z, table_1k) == oracles.survivors(x, z), (x, z)
+
+
+@pytest.mark.parametrize("x", [DP_MIN_X - 1, DP_MIN_X, 3 * 10**6 + 1])
+def test_legendre_dp_matches_the_pass_on_both_sides_of_each_wheel_prime(table_1k, x):
+    for z in range(2, 19):
+        assert _legendre_dp(x, z, table_1k) == sieve._sift(x, z, table_1k, False)[0], z
+
+
+@pytest.mark.parametrize(
+    "k, pi", [(6, 78498), (7, 664579), (8, 5761455), (9, 50847534)], ids=str
+)
+def test_survivor_count_gives_the_published_pi_of_powers_of_ten(k, pi):
+    # OEIS A006880; from 10^9 on sqrt(x) passes the wheel period 30030
+    r = isqrt(10**k)
+    assert survivor_count(10**k, r + 1, _PI_TABLE) + prime_count(r, _PI_TABLE) - 1 == pi
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(x=st.integers(1, 3_000), z=st.integers(2, 3_001))
 def test_census_oracle_property(x, z):
@@ -264,3 +298,4 @@ def test_legendre_dp_oracle_property(x, z):
 
 
 _PROPERTY_TABLE = build_prime_table(3_000)
+_PI_TABLE = build_prime_table(isqrt(10**9) + 1)
