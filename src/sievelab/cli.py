@@ -7,6 +7,7 @@ Exit statuses: 0 success, 1 exact-check failure, 2 configuration error,
 
 import argparse
 import ctypes
+import os
 import random
 import sys
 from contextlib import nullcontext
@@ -327,7 +328,14 @@ def main(argv: list[str] | None = None) -> int:
         path = getattr(args, "out", None)
         # opened and truncated before any work, like a shell redirection
         with open(path, "w") if path else nullcontext(sys.stdout) as out:
-            return args.run(args, out)
+            status = args.run(args, out)
+            out.flush()  # a reader gone from stdout shows here, not at exit
+            return status
+    except BrokenPipeError:
+        # not a configuration error: quiet, with the status of a SIGPIPE death,
+        # and stdout pointed at devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ResourceLimitError, CapExceededError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

@@ -3,28 +3,29 @@
 The classifier partitions 1..x into disjoint classes: for each sifting prime
 p < z, the integers whose least prime factor is p; everything left over
 (1, the primes in [z, x], and composites with no factor below z) survives.
-Classification runs over fixed-size segments with bytearray slice marking, so
-the hot loops stay in C.  The layout is wheel-2: one segment byte per odd
-integer 2j + 1, so SEGMENT_SIZE counts buffer bytes and one segment covers
-about 2 * SEGMENT_SIZE integers.  The class of 2 is the x // 2 even integers
-and is counted in closed form; each odd prime marks its odd multiples with
-stride p in index space.  _sieve_pass is the one marking loop.  Its three
-callers sieve only the primes up to sqrt(x), which own every composite
-<= x: survivor_count and lpf_census count each larger sifting prime up to
-x as one integer, and prime_counts reads pi at ascending x from one pass.
+Two routes compute it, and they share no counting arithmetic.
 
-survivor_count has two routes, chosen by x alone.  Below DP_MIN_X = 2^20 it
-runs the survivor-only segmented pass, a single segment at that size.  From
-DP_MIN_X on it evaluates Legendre's sum as Lucy Hedgehog's dynamic programme
-over the O(sqrt x) values x // k, in O(x^(3/4)) steps.  The DP starts after
-the wheel primes 2, 3, 5, 7, 11 and 13: Legendre's phi(v, a) is periodic
-modulo their product P_a, phi(v, a) = (v // P_a) phi(P_a) + phi(v mod P_a, a)
-(Lehmer 1959; Lagarias, Miller and Odlyzko 1985), so one cached table of
-phi mod P_a <= 30030 replaces their rounds.  lpf_census always sieves, so at
-large x its survivors and survivor_count are independent routes.
+lpf_census sieves.  It runs over fixed-size segments with bytearray slice
+marking, so the hot loops stay in C.  The layout is wheel-2: one segment
+byte per odd integer 2j + 1, so SEGMENT_SIZE counts buffer bytes and one
+segment covers about 2 * SEGMENT_SIZE integers.  The class of 2 is the
+x // 2 even integers and is counted in closed form; each odd prime marks its
+odd multiples with stride p in index space.  _sieve_pass is the one marking
+loop.  Its two callers sieve only the primes up to sqrt(x), which own every
+composite <= x: lpf_census counts each larger sifting prime up to x as one
+integer, and prime_counts reads pi at ascending x from one pass.
 
-Two caps bound a run, each checked before any sieving: MAX_SIEVE_X on x and
-on the prime-table limit, and the memory budget (the SIEVELAB_MEMORY_BUDGET
+survivor_count counts, at every x: it evaluates Legendre's sum as Lucy
+Hedgehog's dynamic programme over the O(sqrt x) values x // k.  The DP
+starts after the wheel primes 2, 3, 5, 7, 11 and 13: Legendre's phi(v, a) is
+periodic modulo their product P_a, phi(v, a) = (v // P_a) phi(P_a) +
+phi(v mod P_a, a) (Lehmer 1959; Lagarias, Miller and Odlyzko 1985), so one
+cached table of phi mod P_a <= 30030 replaces their rounds.  Its rounds end
+at the cube root of x: each later sifting prime up to sqrt(x) adds one term
+read from the last round's values (Meissel's observation).
+
+Two caps bound a run, each checked before any work: MAX_SIEVE_X on x and on
+the prime-table limit, and the memory budget (the SIEVELAB_MEMORY_BUDGET
 environment variable) on the prime table, the segment buffer, and the DP's
 two lists and wheel tables.  check_survivor_count makes survivor_count's
 checks on x alone, so a caller can make them before it builds a prime table.
@@ -45,15 +46,6 @@ from .errors import ResourceLimitError
 # integers.  _sieve_pass reads it at call time, so tests can shrink it to
 # force segment boundaries.
 SEGMENT_SIZE = 1 << 20
-# survivor_count uses the DP from here on.  The segmented pass grows as x,
-# the DP as x^(3/4), and the crossover depends on z.  With the wheel the DP
-# wins from 2^16 on at z = 29 (0.15 against 0.18 ms), but at z = sqrt(x)
-# only between 2^19 and 2^20 (pass against DP, best of 9 on CPython 3.11,
-# 2 vCPUs: 1.1 against 1.5 ms at 2^18.5, 1.6 against 1.9 ms at 2^19, 3.8
-# against 3.1 ms at 2^20).  Below 2^20 the pass is one segment of at most
-# 2^19 bytes; a larger threshold lets that segment grow on top of the DP's
-# freed ints (BENCH_7.json measures 2^19, 2^20 and 2^21, before the wheel).
-DP_MIN_X = 1 << 20
 # Feasibility cap on x and on the prime-table limit: lpf_census sieves 10^8
 # integers in under a second, so a census near 2^48 takes weeks; a larger
 # value is refused up front.
@@ -206,8 +198,9 @@ def _check_x(x: int, counting: bool) -> None:
 def check_survivor_count(x: int) -> None:
     """survivor_count's refusals that depend on x alone, so a caller can make
     them before building a prime table: ResourceLimitError when x is past
-    MAX_SIEVE_X or the memory of its route past the budget."""
-    _check_x(x, x >= DP_MIN_X)
+    MAX_SIEVE_X, or when the DP's lists for x and the wheel tables are past
+    the budget."""
+    _check_x(x, counting=True)
 
 
 def _sieve_pass(ends: list[int], primes: tuple[int, ...], want_counts: bool) -> tuple[list, list]:
@@ -265,21 +258,6 @@ def _sieve_pass(ends: list[int], primes: tuple[int, ...], want_counts: bool) -> 
     return found, counts
 
 
-def _sift(
-    x: int, z: int, table: PrimeTable, want_counts: bool
-) -> tuple[int, tuple[int, ...], list[int]]:
-    """Survivors of [1, x], x >= 1, for the primes below z by the segmented pass.
-
-    Only the primes up to min(z - 1, sqrt(x)) are sieved; any integer a
-    larger sifting prime removes is that prime itself, so the primes in
-    (sqrt(x), min(z - 1, x)] are subtracted as a prime count.  Returns the
-    survivors, the sieved primes and _sieve_pass's counts for them.
-    """
-    primes = table.primes[: bisect_right(table.primes, min(z - 1, isqrt(x)))]
-    (unmarked,), counts = _sieve_pass([x], primes, want_counts)
-    return unmarked - (prime_count(min(z - 1, x), table) - len(primes)), primes, counts
-
-
 @cache
 def _wheel_phi(a: int) -> tuple[int, int, array]:
     """(P, phi(P), table) for the first a wheel primes, P their product:
@@ -299,17 +277,24 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     S(v) counts the integers in [2, v] that are prime or have no factor
     among the primes sifted so far, and is kept only at the values x // k:
     small[v] for v <= r = isqrt(x), large[k] = S(x // k) for k <= r.  The
-    rounds are the primes p < z with p <= r.  The first w = min(#rounds, 6),
-    the wheel primes, are made in closed form, so S(v) starts at
-    phi(v, w) - 1 + #{the first w wheel primes <= v}, phi from _wheel_phi.
-    A later round p removes p*m for every m in [p, v // p] with no prime
-    factor below p, S(v // p) - S(p - 1) of them, from each S(v) with
-    v >= p^2.  Like an in-place pass over large by ascending k, then small
-    by descending v, every update of a round reads values of the previous
-    round, so each range is rebuilt from slices of the old lists.  After the
-    last round, S(x) counts the primes <= x and the composites with no
-    factor below z, so the survivors are 1 + S(x) - pi(min(z - 1, x)).  Its
-    memory is checked by _check_x.
+    sifting primes are the p < z with p <= r; primes[i] = p, i = pi(p - 1).
+    The first w = min(#primes, 6), the wheel primes, are sifted in closed
+    form, so S(v) starts at phi(v, w) - 1 + #{the first w wheel primes <= v},
+    phi from _wheel_phi.  Sifting a later p removes p*m for every m in
+    [p, v // p] with no prime factor below p, S(v // p) - S(p - 1) of them,
+    from each S(v) with v >= p^2.
+
+    That is done in rounds for the later p with p^3 <= x.  Like an in-place
+    pass over large by ascending k, then small by descending v, every update
+    of a round reads values of the previous round, so each range is rebuilt
+    from slices of the old lists.  Let p_a be the last prime sifted, by a
+    round or the wheel.  Each later p lowers S(x) by one term, large[p] - i:
+    x // p < p_{a+1}^2, as p >= p_{a+1} and p_{a+1}^3 > x, and below
+    p_{a+1}^2 every composite has a factor <= p_a, so large[p] is already
+    pi(x // p) and no later round would change it; for the same reason
+    S(p - 1) = pi(p - 1) = i.  At the end S(x) counts the primes <= x and
+    the composites with no factor below z, so the survivors are
+    1 + S(x) - pi(min(z - 1, x)).  Its memory is checked by _check_x.
     """
     r = isqrt(x)
     primes = table.primes[: bisect_right(table.primes, min(z - 1, r))]
@@ -326,7 +311,9 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     large = [0] + [
         (v // period) * phi_period + phi[v % period] + c for k in range(1, r + 1) for v in (x // k,)
     ]
-    for p in primes[w:]:
+    # the rounds: the primes after the wheel with p^3 <= x, so p_a is primes[end - 1]
+    end = bisect_right(primes, x, lo=w, key=lambda p: p * p * p)
+    for p in primes[w:end]:
         below = small[p - 1]
         p2 = p * p
         k_max = min(r, x // p2)
@@ -346,22 +333,20 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
             drop = [s - below for s in small[p : r // p + 1]]
             for j in range(p2, p2 + p):
                 small[j::p] = [s - d for s, d in zip(small[j::p], drop)]
-    return 1 + large[1] - prime_count(min(z - 1, x), table)
+    # the tail: pi(x // p) - pi(p - 1) for each later p
+    tail = sum(map(large.__getitem__, primes[end:])) - sum(range(end, len(primes)))
+    return 1 + large[1] - tail - prime_count(min(z - 1, x), table)
 
 
 def survivor_count(x: int, z: int, table: PrimeTable) -> int:
-    """Number of integers in [1, x] with no prime factor below z.
-
-    From DP_MIN_X on this is _legendre_dp, below it the survivor-only
-    segmented pass.
-    """
+    """Number of integers in [1, x] with no prime factor below z, by the
+    counting DP (_legendre_dp) at every x >= 1, so that at every x it and
+    lpf_census are independent routes."""
     _check_sifting(z, table)
     check_survivor_count(x)
     if x < 1:
         return 0
-    if x >= DP_MIN_X:
-        return _legendre_dp(x, z, table)
-    return _sift(x, z, table, want_counts=False)[0]
+    return _legendre_dp(x, z, table)
 
 
 def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:
@@ -376,11 +361,12 @@ def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:
         raise ValueError(f"x must be >= 1, got {x}")
     _check_sifting(z, table)
     _check_x(x, counting=False)
-    survivors, primes, sieved = _sift(x, z, table, want_counts=True)
+    primes = table.primes[: bisect_right(table.primes, min(z - 1, isqrt(x)))]
+    (unmarked,), sieved = _sieve_pass([x], primes, want_counts=True)
     tail = table.primes[len(primes) : bisect_left(table.primes, z)]
     singles = bisect_right(tail, x)
     counts = [*zip(primes, sieved), *zip(tail, chain(repeat(1, singles), repeat(0)))]
-    return LpfCensus(x, z, counts, survivors)
+    return LpfCensus(x, z, counts, unmarked - singles)
 
 
 def prime_counts(xs: list[int], table: PrimeTable) -> list[int]:

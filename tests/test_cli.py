@@ -502,6 +502,22 @@ def test_python_m_sievelab_runs_the_command_line(capsys):
     assert _run_module("chebyshev", "--x-max", "100000", SIEVELAB_MEMORY_BUDGET="1000") == (3, "")
 
 
+def test_a_stdout_closed_after_the_first_line_exits_141_quietly():
+    # `density-table --z 3000 | head -1`: the report runs to hundreds of KB,
+    # past any pipe buffer, so the writer meets the closed pipe
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sievelab", "density-table", "--z", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.readline().startswith(b"p,g_exact,")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 # Prints whether a 4 MiB block is mmapped right after an 8 MiB one was freed,
 # reading glibc's mallinfo2; with an argument, after a density-table run.
 _MAPPED_AFTER_A_FREE = """

@@ -14,7 +14,6 @@ from sievelab.sieve import (
     build_prime_table,
     count_lpf,
     lpf_census,
-    DP_MIN_X,
     _legendre_dp,
     prime_count,
     prime_counts,
@@ -233,8 +232,9 @@ def test_census_rejects_bad_arguments(table_1k):
 
 
 def test_survivor_count_routes_agree_at_the_threshold_and_at_1e8(table_1m):
-    # from DP_MIN_X on survivor_count runs the DP and lpf_census the sieve
-    for x in (DP_MIN_X - 1, DP_MIN_X, 10**8):
+    # survivor_count counts by the DP and lpf_census sieves, at every x;
+    # 2^20 was once the threshold between two survivor_count routes
+    for x in (2**20 - 1, 2**20, 10**8):
         for z in (2, 3, 31, isqrt(x), isqrt(x) + 1):
             assert survivor_count(x, z, table_1m) == lpf_census(x, z, table_1m).survivors, (x, z)
 
@@ -247,7 +247,7 @@ def test_dp_lists_are_held_to_the_memory_budget(table_1k, monkeypatch):
 
 
 def test_the_dp_budget_covers_the_wheel_tables(table_1k, monkeypatch):
-    x = DP_MIN_X
+    x = 2**20
     expected = lpf_census(x, 29, table_1k).survivors
     lists = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x))
     monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", str(lists + sieve._WHEEL_TABLE_BYTES - 1))
@@ -264,14 +264,31 @@ def test_legendre_dp_matches_the_oracle_on_both_sides_of_each_wheel_prime(table_
             assert _legendre_dp(x, z, table_1k) == oracles.survivors(x, z), (x, z)
 
 
-@pytest.mark.parametrize("x", [DP_MIN_X - 1, DP_MIN_X, 3 * 10**6 + 1])
+@pytest.mark.parametrize("x", [2**20 - 1, 2**20, 3 * 10**6 + 1])
 def test_legendre_dp_matches_the_pass_on_both_sides_of_each_wheel_prime(table_1k, x):
     for z in range(2, 19):
-        assert _legendre_dp(x, z, table_1k) == sieve._sift(x, z, table_1k, False)[0], z
+        assert _legendre_dp(x, z, table_1k) == lpf_census(x, z, table_1k).survivors, z
+
+
+def test_legendre_dp_matches_the_pass_across_the_cube_root(table_1k):
+    # The DP's rounds end at the last prime p with p^3 <= x, and each later
+    # sifting prime adds one tail term.  x = p^3 - 1, p^3 and p^3 + 1 move p
+    # between the rounds and the tail; p^2 (p + 2) keeps p the last round
+    # and, when q = p + 2 is prime, makes the tail read x // q = p^2, the
+    # first value that round changes; and every z moves the end of the tail.
+    # The bound has one prime of slack: for the first prime after the rounds
+    # the tail reads the values its own round would read, so p^3 < x is as
+    # correct as p^3 <= x, and no test can tell the two apart.
+    for p in (17, 19, 23, 29, 31, 37):
+        for x in (p**3 - 1, p**3, p**3 + 1, p * p * (p + 2)):
+            for z in range(2, isqrt(x) + 3):
+                assert _legendre_dp(x, z, table_1k) == lpf_census(x, z, table_1k).survivors, (x, z)
 
 
 @pytest.mark.parametrize(
-    "k, pi", [(6, 78498), (7, 664579), (8, 5761455), (9, 50847534)], ids=str
+    "k, pi",
+    [(6, 78498), (7, 664579), (8, 5761455), (9, 50847534), (10, 455052511)],
+    ids=str,
 )
 def test_survivor_count_gives_the_published_pi_of_powers_of_ten(k, pi):
     # OEIS A006880; from 10^9 on sqrt(x) passes the wheel period 30030
@@ -293,9 +310,10 @@ def test_census_oracle_property(x, z):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(x=st.integers(1, 3_000), z=st.integers(2, 3_001))
 def test_legendre_dp_oracle_property(x, z):
-    # survivor_count only takes the DP route from DP_MIN_X on
+    # x < 17^3, so every sifting prime after the wheel is a tail term, and z
+    # runs far above sqrt(x)
     assert _legendre_dp(x, z, _PROPERTY_TABLE) == oracles.survivors(x, z)
 
 
 _PROPERTY_TABLE = build_prime_table(3_000)
-_PI_TABLE = build_prime_table(isqrt(10**9) + 1)
+_PI_TABLE = build_prime_table(isqrt(10**10) + 1)
