@@ -20,8 +20,9 @@ from . import identities, report
 from .densities import build_density_table
 from .errorlab import chebyshev_check, legendre_blowup_probe, run_sweep
 from .errors import CapExceededError, ResourceLimitError
-from .moebius import DEFAULT_MAX_PI_Z, _check_enumeration
-from .sieve import _check_x, build_prime_table, check_survivor_count, prime_counts, sifting_primes
+from .moebius import DEFAULT_MAX_PI_Z, check_enumeration
+from .sieve import build_prime_table, check_sieve_pass, check_survivor_count
+from .sieve import prime_counts, sifting_primes
 
 DEFAULT_SEED = 1729
 # mallopt's parameter number for the mmap threshold, from glibc's malloc.h
@@ -173,7 +174,7 @@ def _identity_families(limit: int, args) -> list[tuple[str, Iterator[tuple[str, 
     table = build_prime_table(max(limit, 31))
     z_cap = min(31, limit + 1)
     # the largest enumeration of any family: the Legendre sum at z = z_cap
-    _check_enumeration(sifting_primes(table, z_cap), args.max_pi_z)
+    check_enumeration(sifting_primes(table, z_cap), args.max_pi_z)
 
     def draw_x() -> int:
         return rng.randrange(1, limit + 1)
@@ -255,9 +256,9 @@ def _cmd_chebyshev(args, out) -> int:
     grid = _chebyshev_grid(args.x_max, args.grid, args.random, args.seed)
     # refuse x-max before any work: its survivor count, then the pass to it
     check_survivor_count(args.x_max)
-    _check_x(args.x_max, counting=False)
+    check_sieve_pass(args.x_max)
     table = build_prime_table(isqrt(args.x_max) + 1)
-    pi_xs = prime_counts(grid, table) if grid else []
+    pi_xs = prime_counts(grid, table)
     records = [chebyshev_check(x, table, pi_x) for x, pi_x in zip(grid, pi_xs)]
     out.write(report.format_rows(
         [report.chebyshev_row(r) for r in records], report.CHEBYSHEV_COLUMNS, args.format

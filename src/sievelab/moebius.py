@@ -25,7 +25,8 @@ from .sieve import PrimeTable, sifting_primes, _require_prime
 DEFAULT_MAX_PI_Z = 15
 
 
-def _check_enumeration(primes: tuple[int, ...], cap: int) -> None:
+def check_enumeration(primes: tuple[int, ...], cap: int) -> None:
+    """Refuse to enumerate the 2^k divisors of k = len(primes) > cap primes."""
     if len(primes) > cap:
         raise CapExceededError(
             f"{len(primes)} sifting primes would enumerate "
@@ -69,7 +70,7 @@ def legendre_sum(
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     primes = sifting_primes(table, z)
-    _check_enumeration(primes, max_pi_z)
+    check_enumeration(primes, max_pi_z)
     return sum(sign * (x // value) for value, sign in _signed_subset_products(primes))
 
 
@@ -86,9 +87,11 @@ def lpf_count_via_moebius(
     primes strictly below p; the least common multiple [p, d] collapses to
     d*p because d is coprime to p.
     """
+    if x < 0:
+        raise ValueError(f"x must be >= 0, got {x}")
     _require_prime(p, table)
     primes = sifting_primes(table, p)
-    _check_enumeration(primes, max_pi_z)
+    check_enumeration(primes, max_pi_z)
     return sum(sign * (x // (value * p)) for value, sign in _signed_subset_products(primes))
 
 
@@ -110,7 +113,7 @@ def frac_remainder_sum(
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     primes = sifting_primes(table, z)
-    _check_enumeration(primes[:-1], max_pi_z)  # largest modulus used
+    check_enumeration(primes[:-1], max_pi_z)  # largest modulus used
     # Each modulus m = d*p is a squarefree divisor > 1 of the product of the
     # sifting primes, with p its largest prime, so mu(d) = -mu(m); m = 1 adds
     # x mod 1 = 0.  The sum is one integer numerator over that product,

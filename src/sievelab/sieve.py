@@ -24,11 +24,10 @@ cached table of phi mod P_a <= 30030 replaces their rounds.  Its rounds end
 at the cube root of x: each later sifting prime up to sqrt(x) adds one term
 read from the last round's values (Meissel's observation).
 
-Two caps bound a run, each checked before any work: MAX_SIEVE_X on x and on
-the prime-table limit, and the memory budget (the SIEVELAB_MEMORY_BUDGET
-environment variable) on the prime table, the segment buffer, and the DP's
-two lists and wheel tables.  check_survivor_count makes survivor_count's
-checks on x alone, so a caller can make them before it builds a prime table.
+Each route's whole contract on x is one public check, check_survivor_count
+or check_sieve_pass: the route makes it before any work, and a caller can make
+it before it builds a prime table.  The memory budget is the
+SIEVELAB_MEMORY_BUDGET environment variable, else 1 GiB.
 """
 
 import os
@@ -46,9 +45,10 @@ from .errors import ResourceLimitError
 # integers.  _sieve_pass reads it at call time, so tests can shrink it to
 # force segment boundaries.
 SEGMENT_SIZE = 1 << 20
-# Feasibility cap on x and on the prime-table limit: lpf_census sieves 10^8
-# integers in under a second, so a census near 2^48 takes weeks; a larger
-# value is refused up front.
+# Cap on x and the prime-table limit: lpf_census sieves 10^8 integers in under
+# a second, so near 2^48 a census takes weeks.  The default 1 GiB budget binds
+# first on the DP's lists (near x = 4.5 10^13), so on x the cap binds only under
+# a raised budget.  It keeps _prime_table_bytes' float finite (--z 10^310).
 MAX_SIEVE_X = 1 << 48
 DEFAULT_MEMORY_BUDGET = 1 << 30
 MEMORY_BUDGET_ENV = "SIEVELAB_MEMORY_BUDGET"
@@ -63,23 +63,25 @@ WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL_TABLE_BYTES = 4 * prod(WHEEL_PRIMES)
 
 
-def memory_budget() -> int:
-    """Memory budget in bytes: SIEVELAB_MEMORY_BUDGET if set, else 1 GiB.  A
-    set value that is not a positive integer is a ValueError naming it."""
-    text = os.environ.get(MEMORY_BUDGET_ENV, str(DEFAULT_MEMORY_BUDGET))
+@cache
+def _budget_bytes(text: str) -> int:
+    """SIEVELAB_MEMORY_BUDGET's `text` in bytes, parsed once per text (raises are not cached)."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise ValueError(f"{MEMORY_BUDGET_ENV} must be a positive integer of bytes, got {text!r}")
     return int(text)
 
 
 def _reserve(need: int, what: str) -> None:
-    """Refuse `what` when its estimated `need` in bytes exceeds the budget."""
-    budget = memory_budget()
+    """Refuse `what` when its estimated `need` in bytes exceeds the budget, read at each call."""
+    budget = _budget_bytes(os.environ.get(MEMORY_BUDGET_ENV, str(DEFAULT_MEMORY_BUDGET)))
     if need > budget:
         raise ResourceLimitError(f"{what} would take about {need} bytes, budget is {budget}")
 
 
-def _check_cap(n: int, what: str) -> None:
+def _check_range(n: int, what: str, low: int) -> None:
+    """low <= n <= MAX_SIEVE_X: a ValueError below, a ResourceLimitError above."""
+    if n < low:
+        raise ValueError(f"{what} must be >= {low}, got {n}")
     if n > MAX_SIEVE_X:
         raise ResourceLimitError(f"{what} = {n} exceeds the 2^48 sieve cap")
 
@@ -125,13 +127,10 @@ def _prime_table_bytes(limit: int) -> int:
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes over the odd integers up to limit, plus 2.
 
-    Raises ResourceLimitError when limit exceeds MAX_SIEVE_X, or when the
-    odd flags plus the tuple of primes would exceed the memory budget (set
-    with the SIEVELAB_MEMORY_BUDGET environment variable).
+    Refuses a limit below 1 or past MAX_SIEVE_X, and odd flags plus a tuple of
+    primes that would exceed the memory budget.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    _check_cap(limit, "prime table limit")
+    _check_range(limit, "prime table limit", 1)
     _reserve(_prime_table_bytes(limit), f"prime table to {limit}")
     if limit < 2:
         return PrimeTable(limit, ())
@@ -155,9 +154,9 @@ def prime_count(x: int, table: PrimeTable) -> int:
 
 
 def sifting_primes(table: PrimeTable, z: int) -> tuple[int, ...]:
-    """The sifting set for level z: all primes strictly below z."""
-    if z > table.limit + 1:
-        raise ValueError(f"sifting level {z} exceeds table limit {table.limit} + 1")
+    """The sifting set for level z: all primes strictly below z, none for z < 2."""
+    if z >= 2:
+        _check_sifting(z, table)
     return table.primes[: bisect_left(table.primes, z)]
 
 
@@ -175,11 +174,10 @@ def _check_sifting(z: int, table: PrimeTable) -> None:
         raise ValueError(f"sifting level {z} exceeds table limit {table.limit} + 1")
 
 
-def _check_x(x: int, counting: bool) -> None:
-    """Refuse to sift [1, x] before any work: x past MAX_SIEVE_X, or the
-    memory of its route past the budget, the counting lists and the wheel
-    tables of _legendre_dp when `counting`, else the segment buffer of
-    _sieve_pass.
+def check_survivor_count(x: int) -> None:
+    """survivor_count's contract on x: a ValueError when x < 0, a
+    ResourceLimitError when x is past MAX_SIEVE_X or the DP's lists for x and
+    the wheel tables are past the memory budget.
 
     The DP holds two lists of r + 1 ints, r = isqrt(x), and while a range is
     rebuilt its new ints and slices: up to 4 (r + 1) list slots and ints no
@@ -187,20 +185,16 @@ def _check_x(x: int, counting: bool) -> None:
     x = 2^19 to 10^9).  The wheel tables stay cached once built, and are
     reserved with every DP so that the budget covers all the route holds.
     """
-    _check_cap(x, "x")
-    if counting:
-        need = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x)) + _WHEEL_TABLE_BYTES
-        _reserve(need, f"counting lists for x = {x} and wheel tables")
-    else:
-        _reserve(min(SEGMENT_SIZE, (x + 1) // 2), "segment buffer")
+    _check_range(x, "x", 0)
+    need = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x)) + _WHEEL_TABLE_BYTES
+    _reserve(need, f"counting lists for x = {x} and wheel tables")
 
 
-def check_survivor_count(x: int) -> None:
-    """survivor_count's refusals that depend on x alone, so a caller can make
-    them before building a prime table: ResourceLimitError when x is past
-    MAX_SIEVE_X, or when the DP's lists for x and the wheel tables are past
-    the budget."""
-    _check_x(x, counting=True)
+def check_sieve_pass(x: int) -> None:
+    """lpf_census's and prime_counts' contract on x: a ValueError when x < 1, a
+    ResourceLimitError past MAX_SIEVE_X or with a segment buffer past the budget."""
+    _check_range(x, "x", 1)
+    _reserve(min(SEGMENT_SIZE, (x + 1) // 2), "segment buffer")
 
 
 def _sieve_pass(ends: list[int], primes: tuple[int, ...], want_counts: bool) -> tuple[list, list]:
@@ -294,7 +288,7 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     pi(x // p) and no later round would change it; for the same reason
     S(p - 1) = pi(p - 1) = i.  At the end S(x) counts the primes <= x and
     the composites with no factor below z, so the survivors are
-    1 + S(x) - pi(min(z - 1, x)).  Its memory is checked by _check_x.
+    1 + S(x) - pi(min(z - 1, x)).  Its memory is checked by check_survivor_count.
     """
     r = isqrt(x)
     primes = table.primes[: bisect_right(table.primes, min(z - 1, r))]
@@ -344,9 +338,7 @@ def survivor_count(x: int, z: int, table: PrimeTable) -> int:
     lpf_census are independent routes."""
     _check_sifting(z, table)
     check_survivor_count(x)
-    if x < 1:
-        return 0
-    return _legendre_dp(x, z, table)
+    return _legendre_dp(x, z, table) if x else 0
 
 
 def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:
@@ -357,10 +349,8 @@ def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:
     sifting prime above sqrt(x) is that prime alone when it is <= x, and
     empty beyond x.
     """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
     _check_sifting(z, table)
-    _check_x(x, counting=False)
+    check_sieve_pass(x)
     primes = table.primes[: bisect_right(table.primes, min(z - 1, isqrt(x)))]
     (unmarked,), sieved = _sieve_pass([x], primes, want_counts=True)
     tail = table.primes[len(primes) : bisect_left(table.primes, z)]
@@ -370,10 +360,16 @@ def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:
 
 
 def prime_counts(xs: list[int], table: PrimeTable) -> list[int]:
-    """pi(x) for each x >= 1 of the ascending xs, from one segmented pass to
-    xs[-1] that sieves the primes q <= r = isqrt(xs[-1]), q included: the
-    integers it leaves <= x are 1 and the primes in (min(x, r), x]."""
-    _check_x(xs[-1], counting=False)
+    """pi(x) for each x of xs, ascending from 1 (repeats allowed), from one
+    segmented pass to xs[-1] that sieves the primes q <= r = isqrt(xs[-1]), q
+    included: the integers it leaves <= x are 1 and the primes in (min(x, r), x]."""
+    if not xs:
+        return []
+    for a, b in zip(xs, xs[1:]):
+        if a > b:
+            raise ValueError(f"xs must ascend, got {a} before {b}")
+    check_sieve_pass(xs[0])
+    check_sieve_pass(xs[-1])
     r = isqrt(xs[-1])
     if r > table.limit:
         raise ValueError(f"prime_counts to {xs[-1]} needs a table to {r}, limit is {table.limit}")
@@ -388,6 +384,6 @@ def count_lpf(x: int, p: int, table: PrimeTable) -> int:
     cofactor m has no prime factor below p, m = 1 included.
     """
     _require_prime(p, table)
-    _check_cap(x, "x")
+    _check_range(x, "x", 0)
     return survivor_count(x // p, p, table)
 

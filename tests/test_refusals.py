@@ -4,6 +4,7 @@ ValueError that says which argument and why, before any work."""
 import pytest
 
 from sievelab import densities, errorlab, highprec, moebius, sieve
+from sievelab.errors import ResourceLimitError
 
 
 @pytest.mark.parametrize(
@@ -25,6 +26,12 @@ from sievelab import densities, errorlab, highprec, moebius, sieve
         (lambda t: moebius.frac_remainder_sum(0, 5, t), "x must be >= 1, got 0"),
         (lambda t: moebius.frac_bound_b3(-1, 5, t), "x must be >= 1, got -1"),
         (lambda t: sieve.sifting_primes(t, 1002), "sifting level 1002 exceeds table limit 1000 + 1"),
+        (lambda t: sieve.survivor_count(-1, 5, t), "x must be >= 0, got -1"),
+        (lambda t: sieve.count_lpf(-10, 3, t), "x must be >= 0, got -10"),
+        (lambda t: moebius.lpf_count_via_moebius(-5, 3, t), "x must be >= 0, got -5"),
+        (lambda t: sieve.lpf_census(0, 5, t), "x must be >= 1, got 0"),
+        (lambda t: sieve.prime_counts([0, 10], t), "x must be >= 1, got 0"),
+        (lambda t: sieve.prime_counts([10, 5], t), "xs must ascend, got 10 before 5"),
     ],
     ids=[
         "mertens_product", "density_identity_check", "harmonic_lower_bound_check",
@@ -32,9 +39,69 @@ from sievelab import densities, errorlab, highprec, moebius, sieve
         "chebyshev_check_x_past_table", "chebyshev_check_z_past_table",
         "prime_counts_table_below_sqrt", "ln_decimal_zero", "ln_decimal_negative",
         "legendre_sum", "frac_remainder_sum", "frac_bound_b3", "sifting_primes",
+        "survivor_count_negative_x", "count_lpf_negative_x", "lpf_count_via_moebius_negative_x",
+        "lpf_census_x_below_1", "prime_counts_x_below_1", "prime_counts_descending",
     ],
 )
 def test_library_refuses_out_of_domain_arguments(table_1k, call, message):
     with pytest.raises(ValueError) as exc:
         call(table_1k)
     assert str(exc.value) == message
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the route started work before it refused")
+
+
+# each sieve route's refusals, by kind: (budget or None, call, error, message start)
+_ROUTE_REFUSALS = {
+    "survivor_count_cap": (None, lambda t: sieve.survivor_count(1 << 49, 5, t),
+                           ResourceLimitError, "x = 562949953421312 exceeds the 2^48 sieve cap"),
+    "survivor_count_dp_lists": ("500000", lambda t: sieve.survivor_count(10**8, 5, t),
+                                ResourceLimitError, "counting lists for x = 100000000"),
+    "survivor_count_reach": (None, lambda t: sieve.survivor_count(100, 1002, t),
+                             ValueError, "sifting level 1002 exceeds table limit 1000 + 1"),
+    "survivor_count_negative_x": (None, lambda t: sieve.survivor_count(-1, 5, t),
+                                  ValueError, "x must be >= 0, got -1"),
+    "count_lpf_cap": (None, lambda t: sieve.count_lpf(1 << 49, 3, t),
+                      ResourceLimitError, "x = 562949953421312 exceeds the 2^48 sieve cap"),
+    "count_lpf_dp_lists": ("500000", lambda t: sieve.count_lpf(3 * 10**8, 3, t),
+                           ResourceLimitError, "counting lists for x = 100000000"),
+    "count_lpf_negative_x": (None, lambda t: sieve.count_lpf(-10, 3, t),
+                             ValueError, "x must be >= 0, got -10"),
+    "lpf_census_cap": (None, lambda t: sieve.lpf_census(1 << 49, 5, t),
+                       ResourceLimitError, "x = 562949953421312 exceeds the 2^48 sieve cap"),
+    "lpf_census_segment_buffer": ("1000000", lambda t: sieve.lpf_census(10**7, 5, t),
+                                  ResourceLimitError,
+                                  "segment buffer would take about 1048576 bytes, budget is 1000000"),
+    "lpf_census_reach": (None, lambda t: sieve.lpf_census(100, 1002, t),
+                         ValueError, "sifting level 1002 exceeds table limit 1000 + 1"),
+    "lpf_census_x_below_1": (None, lambda t: sieve.lpf_census(0, 5, t),
+                             ValueError, "x must be >= 1, got 0"),
+    "prime_counts_cap": (None, lambda t: sieve.prime_counts([10, 1 << 49], t),
+                         ResourceLimitError, "x = 562949953421312 exceeds the 2^48 sieve cap"),
+    "prime_counts_segment_buffer": ("100000", lambda t: sieve.prime_counts([10, 10**6], t),
+                                    ResourceLimitError,
+                                    "segment buffer would take about 500000 bytes, budget is 100000"),
+    "prime_counts_reach": (None, lambda t: sieve.prime_counts([10, 1002001], t), ValueError,
+                           "prime_counts to 1002001 needs a table to 1001, limit is 1000"),
+    "prime_counts_x_below_1": (None, lambda t: sieve.prime_counts([0, 10], t),
+                               ValueError, "x must be >= 1, got 0"),
+    "prime_counts_descending": (None, lambda t: sieve.prime_counts([10, 5], t),
+                                ValueError, "xs must ascend, got 10 before 5"),
+}
+
+
+@pytest.mark.parametrize("budget, call, error, message",
+                         _ROUTE_REFUSALS.values(), ids=_ROUTE_REFUSALS.keys())
+def test_sieve_routes_refuse_before_any_work(table_1k, monkeypatch, budget, call, error, message):
+    # with the DP and the segmented pass unable to run, the refusal must still be the one raised
+    monkeypatch.setattr(sieve, "_legendre_dp", _no_work)
+    monkeypatch.setattr(sieve, "_sieve_pass", _no_work)
+    if budget is None:
+        monkeypatch.delenv("SIEVELAB_MEMORY_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", budget)
+    with pytest.raises(error) as exc:
+        call(table_1k)
+    assert str(exc.value).startswith(message)

@@ -212,6 +212,12 @@ def test_prime_counts_match_the_full_table(table_100k, monkeypatch, size):
         assert prime_counts(ends, table_100k) == [prime_count(x, table_100k) for x in ends]
 
 
+def test_prime_counts_take_an_empty_list_and_repeated_points(table_1k):
+    assert prime_counts([], table_1k) == []
+    assert prime_counts([5, 5, 10], table_1k) == [3, 3, 4]
+    assert prime_counts([1, 1], table_1k) == [0, 0]
+
+
 def test_prime_counts_at_seeded_points_to_1e7():
     full = build_prime_table(10**7)
     rng = random.Random(13)
@@ -237,6 +243,28 @@ def test_survivor_count_routes_agree_at_the_threshold_and_at_1e8(table_1m):
     for x in (2**20 - 1, 2**20, 10**8):
         for z in (2, 3, 31, isqrt(x), isqrt(x) + 1):
             assert survivor_count(x, z, table_1m) == lpf_census(x, z, table_1m).survivors, (x, z)
+
+
+def test_x_of_0_has_no_survivors_and_no_class(table_1k):
+    # the DP's domain is x >= 0; count_lpf reaches x // p = 0 whenever x < p
+    assert survivor_count(0, 5, table_1k) == 0
+    assert count_lpf(0, 3, table_1k) == count_lpf(2, 3, table_1k) == 0
+
+
+def test_the_budget_is_read_at_each_call_and_a_bad_one_refused_each_time(table_1k, monkeypatch):
+    # each distinct value is parsed once, so a changed value must still count
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "100")
+    with pytest.raises(ResourceLimitError, match="budget is 100$"):
+        survivor_count(600, 20, table_1k)
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", str(1 << 30))
+    assert survivor_count(600, 20, table_1k) == lpf_census(600, 20, table_1k).survivors
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "100")
+    with pytest.raises(ResourceLimitError, match="budget is 100$"):
+        survivor_count(600, 20, table_1k)
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "abc")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="SIEVELAB_MEMORY_BUDGET must be a positive integer"):
+            survivor_count(600, 20, table_1k)
 
 
 def test_dp_lists_are_held_to_the_memory_budget(table_1k, monkeypatch):
