@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from . import identities, report
 from .densities import build_density_table
-from .errorlab import chebyshev_check, legendre_blowup_probe, run_sweep
+from .errorlab import chebyshev_check, check_point, legendre_blowup_probe, run_sweep
 from .errors import CapExceededError, ResourceLimitError
 from .moebius import DEFAULT_MAX_PI_Z, check_enumeration
 from .sieve import build_prime_table, check_sieve_pass, check_survivor_count
@@ -224,8 +224,7 @@ def _cmd_sweep(args, out) -> int:
         if x < 2:
             raise ValueError(f"sweep point x={x} is below 2")
         z = z_of(x)
-        if not 2 <= z <= x:
-            raise ValueError(f"sweep point violates 2 <= z <= x: x={x}, z={z}")
+        check_point(x, z)
         points.append((x, z))
     rows = []
     if points:
@@ -273,9 +272,7 @@ def _cmd_chebyshev(args, out) -> int:
 def _cmd_blowup(args, out) -> int:
     table = build_prime_table(args.z_max)
     rows = legendre_blowup_probe(args.z_max, args.x, table, max_pi_z=args.max_pi_z)
-    out.write(report.format_rows(
-        [report.probe_row(r) for r in rows], report.PROBE_COLUMNS, args.format
-    ))
+    report.write_rows(map(report.probe_row, rows), report.PROBE_COLUMNS, args.format, out)
     return 0
 
 

@@ -129,8 +129,6 @@ def harmonic_lower_bound_check(z: int, table: PrimeTable) -> HarmonicChain:
     are more than 1e-9 apart, relatively, and exactly otherwise.
     iter_harmonic_chain takes ln z by another route.
     """
-    if z < 2:
-        raise ValueError(f"z must be >= 2, got {z}")
     inv = 1 / mertens_product(z, table)
     harm = sum((Fraction(1, k) for k in range(1, z)), Fraction(0))
     log_z = ln_decimal(z)

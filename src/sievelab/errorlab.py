@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 from .densities import mertens_product
 from .errors import CapExceededError
-from .highprec import WORKING_PREC, fraction_to_decimal
+from .highprec import WORKING_PREC, fraction_to_decimal, ln_decimal
 from .moebius import (
     DEFAULT_MAX_PI_Z,
     frac_bound_b3,
@@ -69,6 +69,12 @@ class ProbeRow:
     status: str
 
 
+def check_point(x: int, z: int) -> None:
+    """The sweep's rule on a point: 2 <= z <= x."""
+    if not 2 <= z <= x:
+        raise ValueError(f"sweep point violates 2 <= z <= x: x={x}, z={z}")
+
+
 def evaluate_point(
     x: int,
     z: int,
@@ -80,14 +86,12 @@ def evaluate_point(
 ) -> ErrorRecord:
     """Evaluate one sweep point exactly.
 
-    Cap violations in the optional Möbius quantities downgrade to absent
-    fields (flagged), never abort.  A disagreement between two exact routes
-    raises ArithmeticError: that would be an implementation defect, not data.
+    check_point and prime_count(z) refuse before any work.  A Möbius cap
+    violation downgrades to an absent field (flagged), never aborts; two exact
+    routes that disagree raise ArithmeticError: an implementation defect.
     """
-    if not 2 <= z <= x:
-        raise ValueError(f"need 2 <= z <= x, got z={z}, x={x}")
-    if z > table.limit:
-        raise ValueError(f"z={z} exceeds table limit {table.limit}")
+    check_point(x, z)
+    pi_z = prime_count(z, table)
     survivors = survivor_count(x, z, table)
     main_term = x * mertens_product(z, table)
     error = survivors - main_term
@@ -112,7 +116,6 @@ def evaluate_point(
     if moebius_cross_check and z <= MOEBIUS_CHECK_MAX_Z:
         check("moebius", legendre_sum, survivors)
 
-    pi_z = prime_count(z, table)
     return ErrorRecord(
         x=x,
         z=z,
@@ -141,23 +144,21 @@ def chebyshev_check(x: int, table: PrimeTable, pi_x: int | None = None) -> Cheby
 
     Uses z = floor(sqrt(x)) + 1 so that every composite <= x is sifted; the
     inclusion is then a set fact: each prime <= x either lies below z or
-    survives.  The table must reach x, from which pi(x) is read, or only z
-    when pi_x gives pi(x).  holds_53 is a diagnostic against x/log(sqrt(x))
-    with the unspecified constant taken as 1.
+    survives.  pi(x), unless pi_x gives it, and pi(z) are read from the table
+    first, so prime_count refuses a short one before any work.  holds_53 is a
+    diagnostic against x/log(sqrt(x)), the unspecified constant taken as 1.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     z_used = isqrt(x) + 1
-    name, need = ("x", x) if pi_x is None else ("z", z_used)
-    if need > table.limit:
-        raise ValueError(f"{name}={need} exceeds table limit {table.limit}")
-    survivors = survivor_count(x, z_used, table)
     pi_x = prime_count(x, table) if pi_x is None else pi_x
+    pi_z = prime_count(z_used, table)
+    survivors = survivor_count(x, z_used, table)
     s_plus = survivors + prime_count(z_used - 1, table)
     with localcontext() as ctx:
         ctx.prec = WORKING_PREC
-        mertens_upper = Decimal(x) / (Decimal(x).ln() / 2)
-        holds_53 = Decimal(survivors) < mertens_upper + prime_count(z_used, table)
+        mertens_upper = Decimal(x) / (ln_decimal(x) / 2)
+        holds_53 = Decimal(survivors) < mertens_upper + pi_z
     return ChebyshevRecord(
         x=x,
         z_used=z_used,
@@ -178,9 +179,10 @@ def legendre_blowup_probe(
 ) -> list[ProbeRow]:
     """Term counts (exact) and wall times for the full Möbius sum as z grows.
 
-    Rows past the enumeration cap are still emitted with the exact term count
-    and status "cap"; only the timing is absent there.
+    Rows past the enumeration cap still carry the exact term count, with status
+    "cap" and no time; prime_count refuses a table short of z_max - 1 first.
     """
+    prime_count(z_max - 1, table)  # the largest pi a row reads: a short table is refused here
     rows: list[ProbeRow] = []
     for z in range(2, z_max + 1):
         k = prime_count(z - 1, table)

@@ -18,7 +18,8 @@ from math import prod
 from typing import Iterator
 
 from .errors import CapExceededError
-from .sieve import PrimeTable, sifting_primes, _require_prime
+from .highprec import int_to_str
+from .sieve import PrimeTable, check_prime, sifting_primes
 
 # Default cap on the sifting primes of one enumeration: 2^15 terms, every
 # divisor below 2^64 (the product of the first 16 primes exceeds it).
@@ -30,7 +31,7 @@ def check_enumeration(primes: tuple[int, ...], cap: int) -> None:
     if len(primes) > cap:
         raise CapExceededError(
             f"{len(primes)} sifting primes would enumerate "
-            f"2^{len(primes)} = {1 << len(primes)} divisors (cap {cap})"
+            f"2^{len(primes)} = {int_to_str(1 << len(primes))} divisors (cap {cap})"
         )
 
 
@@ -89,7 +90,7 @@ def lpf_count_via_moebius(
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    _require_prime(p, table)
+    check_prime(p, table)
     primes = sifting_primes(table, p)
     check_enumeration(primes, max_pi_z)
     return sum(sign * (x // (value * p)) for value, sign in _signed_subset_products(primes))

@@ -152,7 +152,8 @@ def write_rows(rows: Iterable[dict[str, Any]], columns: Sequence[str], fmt: str,
 
     CSV fields are joined unquoted: every field is an int, an a/b fraction, a
     decimal, true/false, ;-joined flags or empty (None), so none holds a
-    comma, a quote or a line break.
+    comma, a quote or a line break.  Ints of any size (a probe's term count
+    2^k) are written by int_to_str, past the digit limit of str and json.
     """
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
@@ -161,16 +162,18 @@ def write_rows(rows: Iterable[dict[str, Any]], columns: Sequence[str], fmt: str,
             # field by field: no copy of a whole row, which in a large
             # density table runs to tens of kilobytes, is made
             for i, c in enumerate(columns):
-                if row[c] is not None:
-                    out.write(str(row[c]))
+                if (value := row[c]) is not None:
+                    out.write(int_to_str(value) if type(value) is int else str(value))
                 out.write("\n" if i == last else ",")
     elif fmt == "json":
         out.write("[")
         empty = True
+        keys = [json.dumps(c) + ": " for c in columns]
         for row in rows:
             # each object indented one level, as an element of the array
-            text = json.dumps({c: row[c] for c in columns}, indent=2).replace("\n", "\n  ")
-            out.write(("\n  " if empty else ",\n  ") + text)
+            text = ",\n    ".join(k + (int_to_str(v) if type(v) is int else json.dumps(v))
+                                  for k, v in zip(keys, map(row.__getitem__, columns)))
+            out.write(("\n  {\n    " if empty else ",\n  {\n    ") + text + "\n  }")
             empty = False
         out.write("]\n" if empty else "\n]\n")
     else:

@@ -147,9 +147,9 @@ def build_prime_table(limit: int) -> PrimeTable:
 
 
 def prime_count(x: int, table: PrimeTable) -> int:
-    """pi(x): number of primes <= x.  x must be covered by the table."""
+    """pi(x): number of primes <= x.  A table short of x is refused (reach rule)."""
     if x > table.limit:
-        raise ValueError(f"prime_count({x}) out of range for table limit {table.limit}")
+        raise ValueError(f"prime_count({x}) needs a table to {x}, limit is {table.limit}")
     return bisect_right(table.primes, x)
 
 
@@ -160,7 +160,8 @@ def sifting_primes(table: PrimeTable, z: int) -> tuple[int, ...]:
     return table.primes[: bisect_left(table.primes, z)]
 
 
-def _require_prime(p: int, table: PrimeTable) -> None:
+def check_prime(p: int, table: PrimeTable) -> None:
+    """count_lpf's and lpf_count_via_moebius' contract on p: a prime of the table."""
     i = bisect_left(table.primes, p)
     if i == len(table.primes) or table.primes[i] != p:
         raise ValueError(f"{p} is not a prime <= {table.limit}")
@@ -171,7 +172,7 @@ def _check_sifting(z: int, table: PrimeTable) -> None:
     if z < 2:
         raise ValueError(f"sifting level must be >= 2, got {z}")
     if z > table.limit + 1:
-        raise ValueError(f"sifting level {z} exceeds table limit {table.limit} + 1")
+        raise ValueError(f"sifting level {z} needs a table to {z - 1}, limit is {table.limit}")
 
 
 def check_survivor_count(x: int) -> None:
@@ -383,7 +384,7 @@ def count_lpf(x: int, p: int, table: PrimeTable) -> int:
     Evaluated through the defining recursion: multiples p*m <= x whose
     cofactor m has no prime factor below p, m = 1 included.
     """
-    _require_prime(p, table)
+    check_prime(p, table)
     _check_range(x, "x", 0)
     return survivor_count(x // p, p, table)
 

@@ -10,6 +10,7 @@ import oracles
 from sievelab.errors import CapExceededError
 from sievelab.moebius import (
     _signed_subset_products,
+    check_enumeration,
     frac_bound_b3,
     frac_remainder_sum,
     legendre_sum,
@@ -71,6 +72,15 @@ def test_legendre_sum_examples(table_1k):
 def test_legendre_sum_cap_error_names_term_count(table_1k):
     with pytest.raises(CapExceededError, match="2\\^4 = 16"):
         legendre_sum(100, 8, table_1k, max_pi_z=3)
+
+
+def test_cap_error_names_a_term_count_past_the_digit_limit():
+    # 2^14285 has 4301 digits: the refusal is still the cap's, not str()'s ValueError
+    with pytest.raises(CapExceededError) as exc:
+        check_enumeration(tuple(range(14285)), 15)
+    with oracles.int_digit_limit_lifted():
+        expected = f"14285 sifting primes would enumerate 2^14285 = {1 << 14285} divisors (cap 15)"
+    assert str(exc.value) == expected
 
 
 def test_legendre_equivalence_grid(table_1k):

@@ -14,10 +14,13 @@ from sievelab.errors import ResourceLimitError
         (lambda t: densities.density_identity_check(0, t), "r must be >= 1, got 0"),
         (lambda t: densities.harmonic_lower_bound_check(1, t), "z must be >= 2, got 1"),
         (lambda t: densities.build_density_table(1, t), "z must be >= 2, got 1"),
-        (lambda t: errorlab.evaluate_point(2000, 1500, t), "z=1500 exceeds table limit 1000"),
+        (lambda t: errorlab.evaluate_point(2000, 1500, t),
+         "prime_count(1500) needs a table to 1500, limit is 1000"),
         (lambda t: errorlab.chebyshev_check(1, t), "x must be >= 2, got 1"),
-        (lambda t: errorlab.chebyshev_check(1001, t), "x=1001 exceeds table limit 1000"),
-        (lambda t: errorlab.chebyshev_check(10**6, t, 78498), "z=1001 exceeds table limit 1000"),
+        (lambda t: errorlab.chebyshev_check(1001, t),
+         "prime_count(1001) needs a table to 1001, limit is 1000"),
+        (lambda t: errorlab.chebyshev_check(10**6, t, 78498),
+         "prime_count(1001) needs a table to 1001, limit is 1000"),
         (lambda t: sieve.prime_counts([10, 1002001], t),
          "prime_counts to 1002001 needs a table to 1001, limit is 1000"),
         (lambda t: highprec.ln_decimal(0), "ln requires a positive argument, got 0"),
@@ -25,7 +28,8 @@ from sievelab.errors import ResourceLimitError
         (lambda t: moebius.legendre_sum(0, 5, t), "x must be >= 1, got 0"),
         (lambda t: moebius.frac_remainder_sum(0, 5, t), "x must be >= 1, got 0"),
         (lambda t: moebius.frac_bound_b3(-1, 5, t), "x must be >= 1, got -1"),
-        (lambda t: sieve.sifting_primes(t, 1002), "sifting level 1002 exceeds table limit 1000 + 1"),
+        (lambda t: sieve.sifting_primes(t, 1002),
+         "sifting level 1002 needs a table to 1001, limit is 1000"),
         (lambda t: sieve.survivor_count(-1, 5, t), "x must be >= 0, got -1"),
         (lambda t: sieve.count_lpf(-10, 3, t), "x must be >= 0, got -10"),
         (lambda t: moebius.lpf_count_via_moebius(-5, 3, t), "x must be >= 0, got -5"),
@@ -60,7 +64,7 @@ _ROUTE_REFUSALS = {
     "survivor_count_dp_lists": ("500000", lambda t: sieve.survivor_count(10**8, 5, t),
                                 ResourceLimitError, "counting lists for x = 100000000"),
     "survivor_count_reach": (None, lambda t: sieve.survivor_count(100, 1002, t),
-                             ValueError, "sifting level 1002 exceeds table limit 1000 + 1"),
+                             ValueError, "sifting level 1002 needs a table to 1001, limit is 1000"),
     "survivor_count_negative_x": (None, lambda t: sieve.survivor_count(-1, 5, t),
                                   ValueError, "x must be >= 0, got -1"),
     "count_lpf_cap": (None, lambda t: sieve.count_lpf(1 << 49, 3, t),
@@ -75,7 +79,7 @@ _ROUTE_REFUSALS = {
                                   ResourceLimitError,
                                   "segment buffer would take about 1048576 bytes, budget is 1000000"),
     "lpf_census_reach": (None, lambda t: sieve.lpf_census(100, 1002, t),
-                         ValueError, "sifting level 1002 exceeds table limit 1000 + 1"),
+                         ValueError, "sifting level 1002 needs a table to 1001, limit is 1000"),
     "lpf_census_x_below_1": (None, lambda t: sieve.lpf_census(0, 5, t),
                              ValueError, "x must be >= 1, got 0"),
     "prime_counts_cap": (None, lambda t: sieve.prime_counts([10, 1 << 49], t),
@@ -105,3 +109,31 @@ def test_sieve_routes_refuse_before_any_work(table_1k, monkeypatch, budget, call
     with pytest.raises(error) as exc:
         call(table_1k)
     assert str(exc.value).startswith(message)
+
+
+# errorlab's refusals: (call, message); the table's own refusal comes from prime_count
+_ERRORLAB_REFUSALS = {
+    "evaluate_point_z_past_table": (lambda t: errorlab.evaluate_point(2000, 1500, t),
+                                    "prime_count(1500) needs a table to 1500, limit is 1000"),
+    "evaluate_point_z_above_x": (lambda t: errorlab.evaluate_point(10, 20, t),
+                                 "sweep point violates 2 <= z <= x: x=10, z=20"),
+    "chebyshev_check_x_past_table": (lambda t: errorlab.chebyshev_check(1001, t),
+                                     "prime_count(1001) needs a table to 1001, limit is 1000"),
+    "chebyshev_check_z_past_table": (lambda t: errorlab.chebyshev_check(10**6, t, 78498),
+                                     "prime_count(1001) needs a table to 1001, limit is 1000"),
+    "legendre_blowup_probe_past_table": (
+        lambda t: errorlab.legendre_blowup_probe(100, 1000, sieve.build_prime_table(50)),
+        "prime_count(99) needs a table to 99, limit is 50"),
+}
+
+
+@pytest.mark.parametrize("call, message", _ERRORLAB_REFUSALS.values(),
+                         ids=_ERRORLAB_REFUSALS.keys())
+def test_errorlab_routes_refuse_before_any_work(table_1k, monkeypatch, call, message):
+    # with the counting DP and the Möbius enumeration unable to run, the
+    # refusal must still be the one raised
+    monkeypatch.setattr(sieve, "_legendre_dp", _no_work)
+    monkeypatch.setattr(moebius, "_signed_subset_products", _no_work)
+    with pytest.raises(ValueError) as exc:
+        call(table_1k)
+    assert str(exc.value) == message

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sievelab.densities import build_density_table
-from sievelab.errorlab import chebyshev_check, legendre_blowup_probe, run_sweep
+from sievelab.errorlab import ProbeRow, chebyshev_check, legendre_blowup_probe, run_sweep
 from sievelab.report import (
     CHEBYSHEV_COLUMNS,
     DENSITY_COLUMNS,
@@ -20,7 +20,7 @@ from sievelab.report import (
     probe_row,
     write_rows,
 )
-from oracles import read_csv
+from oracles import int_digit_limit_lifted, read_csv
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +167,14 @@ def test_write_rows_writes_each_row_as_it_is_made():
 
     write_rows(rows(), columns, "csv", out)
     assert out.getvalue() == "p,q\n2,\n3,\n"
+
+
+def test_a_term_count_past_the_digit_limit_is_written_in_full():
+    # 2^14285 has 4301 digits, one past the limit of str() and json.dumps
+    rows = [probe_row(ProbeRow(14287, 1 << 14285, None, "cap"))]
+    with int_digit_limit_lifted():
+        expected_csv = ",".join(PROBE_COLUMNS) + f"\n14287,{1 << 14285},,cap\n"
+        expected_json = json.dumps([{c: row[c] for c in PROBE_COLUMNS} for row in rows],
+                                   indent=2) + "\n"
+    assert format_rows(rows, PROBE_COLUMNS, "csv") == expected_csv
+    assert format_rows(rows, PROBE_COLUMNS, "json") == expected_json
