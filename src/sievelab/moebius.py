@@ -18,7 +18,6 @@ from math import prod
 from typing import Iterator
 
 from .errors import CapExceededError
-from .highprec import int_to_str
 from .sieve import PrimeTable, check_prime, sifting_primes
 
 # Default cap on the sifting primes of one enumeration: 2^15 terms, every
@@ -29,10 +28,7 @@ DEFAULT_MAX_PI_Z = 15
 def check_enumeration(primes: tuple[int, ...], cap: int) -> None:
     """Refuse to enumerate the 2^k divisors of k = len(primes) > cap primes."""
     if len(primes) > cap:
-        raise CapExceededError(
-            f"{len(primes)} sifting primes would enumerate "
-            f"2^{len(primes)} = {int_to_str(1 << len(primes))} divisors (cap {cap})"
-        )
+        raise CapExceededError(len(primes), cap)
 
 
 def _subset_list(primes: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -20,9 +20,11 @@ Hedgehog's dynamic programme over the O(sqrt x) values x // k.  The DP
 starts after the wheel primes 2, 3, 5, 7, 11 and 13: Legendre's phi(v, a) is
 periodic modulo their product P_a, phi(v, a) = (v // P_a) phi(P_a) +
 phi(v mod P_a, a) (Lehmer 1959; Lagarias, Miller and Odlyzko 1985), so one
-cached table of phi mod P_a <= 30030 replaces their rounds.  Its rounds end
-at the cube root of x: each later sifting prime up to sqrt(x) adds one term
-read from the last round's values (Meissel's observation).
+cached table of phi mod P_a <= 30030 replaces their rounds.  Of the x // k
+it then holds only those with k prime to P_a, 5760 in each 30030, the only
+ones it reads.  Its rounds end at the cube root of x: each later sifting
+prime up to sqrt(x) adds one term read from the last round's values
+(Meissel's observation).
 
 Each route's whole contract on x is one public check, check_survivor_count
 or check_sieve_pass: the route makes it before any work, and a caller can make
@@ -36,7 +38,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 from math import ceil, isqrt, log, prod
 
 from .errors import ResourceLimitError
@@ -57,9 +59,8 @@ MEMORY_BUDGET_ENV = "SIEVELAB_MEMORY_BUDGET"
 # its table needs 4-byte entries (phi = 92160): 2 MB, built in 30 ms against
 # 3 ms, for DP times within 10% of these at 2^20 to 10^8.
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
-# The _wheel_phi tables for 0..6 wheel primes hold 67 KB, and building the
-# largest adds a flag byte per residue (tracemalloc peak 97 KB): at most 4
-# bytes per residue of 30030.
+# The _wheel_phi tables and flags for 0..6 wheel primes hold 100.2 KB
+# (tracemalloc peak 100.5 KB): at most 4 bytes per residue of 30030.
 _WHEEL_TABLE_BYTES = 4 * prod(WHEEL_PRIMES)
 
 
@@ -180,11 +181,13 @@ def check_survivor_count(x: int) -> None:
     ResourceLimitError when x is past MAX_SIEVE_X or the DP's lists for x and
     the wheel tables are past the memory budget.
 
-    The DP holds two lists of r + 1 ints, r = isqrt(x), and while a range is
-    rebuilt its new ints and slices: up to 4 (r + 1) list slots and ints no
-    larger than x at the peak (tracemalloc measured 2.7 to 3.7 of them from
-    x = 2^19 to 10^9).  The wheel tables stay cached once built, and are
-    reserved with every DP so that the budget covers all the route holds.
+    The DP holds a list of r + 1 ints, r = isqrt(x), two lists of the k it
+    keeps and their values (about r / 5 each with six wheel primes), and while
+    a range is rebuilt its new ints and slices.  4 (r + 1) list slots and ints
+    no larger than x are reserved; tracemalloc measured a peak of 0.81, 1.76
+    and 1.86 of them at x = 2^19, 10^8 and 10^9, z = isqrt(x) + 1.  The wheel
+    tables stay cached once built, and are reserved with every DP so that the
+    budget covers all the route holds.
     """
     _check_range(x, "x", 0)
     need = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x)) + _WHEEL_TABLE_BYTES
@@ -254,16 +257,17 @@ def _sieve_pass(ends: list[int], primes: tuple[int, ...], want_counts: bool) -> 
 
 
 @cache
-def _wheel_phi(a: int) -> tuple[int, int, array]:
-    """(P, phi(P), table) for the first a wheel primes, P their product:
-    table[m] = phi(m, a), the integers in [1, m] prime to P, for 0 <= m < P,
-    so phi(v, a) = (v // P) phi(P) + table[v % P].  phi(P) <= 5760 fits "H"."""
+def _wheel_phi(a: int) -> tuple[int, int, array, bytearray]:
+    """(P, phi(P), table, flags) for the first a wheel primes, P their product:
+    flags[j] is 1 when j + 1 is prime to P, and table[m] = phi(m, a), the
+    integers in [1, m] prime to P, for 0 <= m < P, so phi(v, a) = (v // P)
+    phi(P) + table[v % P].  phi(P) <= 5760 fits "H"."""
     period = prod(WHEEL_PRIMES[:a])
     flags = bytearray(b"\x01") * period
-    flags[0] = 0
     for p in WHEEL_PRIMES[:a]:
-        flags[::p] = bytes(len(range(0, period, p)))
-    return period, prod(p - 1 for p in WHEEL_PRIMES[:a]), array("H", accumulate(flags))
+        flags[p - 1 :: p] = bytes(len(range(p - 1, period, p)))
+    phi = array("H", accumulate(islice(flags, period - 1), initial=0))
+    return period, prod(p - 1 for p in WHEEL_PRIMES[:a]), phi, flags
 
 
 def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
@@ -271,7 +275,7 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
 
     S(v) counts the integers in [2, v] that are prime or have no factor
     among the primes sifted so far, and is kept only at the values x // k:
-    small[v] for v <= r = isqrt(x), large[k] = S(x // k) for k <= r.  The
+    small[v] for v <= r = isqrt(x), and large for x // k with k <= r.  The
     sifting primes are the p < z with p <= r; primes[i] = p, i = pi(p - 1).
     The first w = min(#primes, 6), the wheel primes, are sifted in closed
     form, so S(v) starts at phi(v, w) - 1 + #{the first w wheel primes <= v},
@@ -279,13 +283,21 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     [p, v // p] with no prime factor below p, S(v // p) - S(p - 1) of them,
     from each S(v) with v >= p^2.
 
-    That is done in rounds for the later p with p^3 <= x.  Like an in-place
+    large holds S(x // k) only at the k prime to P_w, the product of the
+    first w wheel primes, kept in ks ascending: k sits at index phi(k, w) - 1.
+    The programme reads large at k = 1 for the answer, at k = q for the tail
+    primes q, and in round p at k p for a k that round updates.  q and p come
+    after the wheel, so by induction every k read is prime to P_w, and the
+    other k, 81% at w = 6, need not be held (Lehmer 1959; Lagarias, Miller
+    and Odlyzko 1985).
+
+    The rounds are made for the later p with p^3 <= x.  Like an in-place
     pass over large by ascending k, then small by descending v, every update
     of a round reads values of the previous round, so each range is rebuilt
     from slices of the old lists.  Let p_a be the last prime sifted, by a
-    round or the wheel.  Each later p lowers S(x) by one term, large[p] - i:
+    round or the wheel.  Each later p lowers S(x) by one term, S(x // p) - i:
     x // p < p_{a+1}^2, as p >= p_{a+1} and p_{a+1}^3 > x, and below
-    p_{a+1}^2 every composite has a factor <= p_a, so large[p] is already
+    p_{a+1}^2 every composite has a factor <= p_a, so S(x // p) is already
     pi(x // p) and no later round would change it; for the same reason
     S(p - 1) = pi(p - 1) = i.  At the end S(x) counts the primes <= x and
     the composites with no factor below z, so the survivors are
@@ -294,7 +306,7 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     r = isqrt(x)
     primes = table.primes[: bisect_right(table.primes, min(z - 1, r))]
     w = min(len(primes), len(WHEEL_PRIMES))
-    period, phi_period, phi = _wheel_phi(w)
+    period, phi_period, phi, flags = _wheel_phi(w)
     # S(v) = phi(v, w) + w - 1 for v at or above the w-th wheel prime, and
     # only such v are read: large holds x // k >= r, and a later round p reads
     # small from p - 1 on.  Below it small is left too high by the wheel
@@ -303,34 +315,33 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     small = [
         q * phi_period + c + f for q in range(r // period + 1) for f in phi[: r + 1 - q * period]
     ]
-    large = [0] + [
-        (v // period) * phi_period + phi[v % period] + c for k in range(1, r + 1) for v in (x // k,)
-    ]
+    ks = list(compress(range(1, r + 1), cycle(flags)))
+    large = [(v // period) * phi_period + phi[v % period] + c for k in ks for v in (x // k,)]
     # the rounds: the primes after the wheel with p^3 <= x, so p_a is primes[end - 1]
     end = bisect_right(primes, x, lo=w, key=lambda p: p * p * p)
     for p in primes[w:end]:
         below = small[p - 1]
-        p2 = p * p
-        k_max = min(r, x // p2)
-        # x // (k p) is large[k p] while k p <= r, else small[(x // p) // k]
-        k_mid = min(k_max, r // p)
-        large[1 : k_mid + 1] = [
-            a - b + below for a, b in zip(large[1 : k_mid + 1], large[p : k_mid * p + 1 : p])
+        # x // (k p) is S at index phi(k p, w) - 1 while k p <= r, else small[(x // p) // k]
+        i_mid = bisect_right(ks, r // p)
+        i_max = bisect_right(ks, min(r, x // (p * p)))
+        large[:i_mid] = [
+            a - large[m // period * phi_period + phi[m % period] - 1] + below
+            for a, m in zip(large[:i_mid], map(p.__mul__, ks[:i_mid]))
         ]
         xp = x // p
-        large[k_mid + 1 : k_max + 1] = [
-            a - small[xp // k] + below
-            for k, a in zip(range(k_mid + 1, k_max + 1), large[k_mid + 1 : k_max + 1])
+        large[i_mid:i_max] = [
+            a - small[xp // k] + below for k, a in zip(ks[i_mid:i_max], large[i_mid:i_max])
         ]
-        if p2 <= r:
+        if p * p <= r:
             # the lane from j in [p^2, p^2 + p) holds v = j, j + p, ..., whose
             # v // p run p, p + 1, ...; drop[i] is S(p + i) - S(p - 1)
             drop = [s - below for s in small[p : r // p + 1]]
-            for j in range(p2, p2 + p):
+            for j in range(p * p, p * p + p):
                 small[j::p] = [s - d for s, d in zip(small[j::p], drop)]
-    # the tail: pi(x // p) - pi(p - 1) for each later p
-    tail = sum(map(large.__getitem__, primes[end:])) - sum(range(end, len(primes)))
-    return 1 + large[1] - tail - prime_count(min(z - 1, x), table)
+    # the tail: pi(x // q) - pi(q - 1) for each later q
+    tail = sum(large[q // period * phi_period + phi[q % period] - 1] for q in primes[end:])
+    tail -= sum(range(end, len(primes)))
+    return 1 + large[0] - tail - prime_count(min(z - 1, x), table)
 
 
 def survivor_count(x: int, z: int, table: PrimeTable) -> int:

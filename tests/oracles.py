@@ -4,19 +4,26 @@ Everything here works by direct enumeration or trial division and never calls
 into sievelab, so the tests compare two independent routes to each quantity.
 read_csv parses a CSV report back into rows with the csv module alone.
 
-The one exception is density_report: the density table's text assembled from
-the package's Fraction routes (iter_density_identity for the partial sums,
-mertens_product for the products, fraction_to_decimal through render for the
-decimals), none of which the table itself uses.
+Two exceptions use the package.  density_report is the density table's text
+assembled from the package's Fraction routes (iter_density_identity for the
+partial sums, mertens_product for the products, fraction_to_decimal through
+render for the decimals), none of which the table itself uses.
+counting_dp_every_k is the counting DP with S(x // k) held at every
+k <= sqrt(x), where the package's DP holds only the k prime to the wheel: the
+same mathematics in the other layout, reading primes from a PrimeTable.
 """
 
 import csv
 import io
 import json
 import sys
+from bisect import bisect_right
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
+from math import isqrt, prod
 
 from sievelab import densities
 from sievelab.highprec import render
@@ -114,6 +121,52 @@ def chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal) -> bool
     Fractions (>= at z = 2), then harm at 60 digits against log z."""
     first = inv >= harm if z == 2 else inv > harm
     return first and fraction_to_decimal(harm, 60) > log_z
+
+
+@cache
+def _phi_mod_wheel(wheel: tuple[int, ...]) -> tuple[int, int, list[int]]:
+    """(P, phi(P), [phi(m) for 0 <= m < P]), P the product of `wheel`."""
+    period = prod(wheel)
+    flags = bytearray(b"\x01") * period
+    flags[0] = 0
+    for p in wheel:
+        flags[::p] = bytes(len(range(0, period, p)))
+    return period, prod(p - 1 for p in wheel), list(accumulate(flags))
+
+
+def counting_dp_every_k(x: int, z: int, table: PrimeTable) -> int:
+    """Survivors of [1, x] below z for x >= 1 by Lucy Hedgehog's programme,
+    large[k] = S(x // k) at every k <= isqrt(x), after the wheel primes 2 to
+    13 are sifted in closed form from phi modulo their product."""
+    r = isqrt(x)
+    primes = table.primes[: bisect_right(table.primes, min(z - 1, r))]
+    w = min(len(primes), 6)
+    period, phi_period, phi = _phi_mod_wheel(primes[:w])
+    c = w - 1
+    small = [
+        q * phi_period + c + f for q in range(r // period + 1) for f in phi[: r + 1 - q * period]
+    ]
+    large = [0] + [
+        (v // period) * phi_period + phi[v % period] + c for v in (x // k for k in range(1, r + 1))
+    ]
+    end = bisect_right(primes, x, lo=w, key=lambda p: p * p * p)
+    for p in primes[w:end]:
+        below = small[p - 1]
+        k_max = min(r, x // (p * p))
+        k_mid = min(k_max, r // p)
+        large[1 : k_mid + 1] = [
+            a - b + below for a, b in zip(large[1 : k_mid + 1], large[p : k_mid * p + 1 : p])
+        ]
+        large[k_mid + 1 : k_max + 1] = [
+            a - small[x // p // k] + below
+            for k, a in zip(range(k_mid + 1, k_max + 1), large[k_mid + 1 : k_max + 1])
+        ]
+        if p * p <= r:
+            drop = [s - below for s in small[p : r // p + 1]]
+            for j in range(p * p, p * p + p):
+                small[j::p] = [s - d for s, d in zip(small[j::p], drop)]
+    tail = sum(map(large.__getitem__, primes[end:])) - sum(range(end, len(primes)))
+    return 1 + large[1] - tail - bisect_right(table.primes, min(z - 1, x))
 
 
 def density_rows(z: int, table: PrimeTable) -> list[dict]:

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -311,6 +312,50 @@ def test_legendre_dp_matches_the_pass_across_the_cube_root(table_1k):
         for x in (p**3 - 1, p**3, p**3 + 1, p * p * (p + 2)):
             for z in range(2, isqrt(x) + 3):
                 assert _legendre_dp(x, z, table_1k) == lpf_census(x, z, table_1k).survivors, (x, z)
+
+
+def test_legendre_dp_matches_the_every_k_dp_at_every_small_x(table_1k):
+    # the DP holds S(x // k) only at the k prime to the wheel; the oracle at every k
+    for x in range(1, 3001):
+        for z in (*range(2, 20), 29, 31, isqrt(x) + 1):
+            expected = oracles.counting_dp_every_k(x, z, table_1k)
+            assert _legendre_dp(x, z, table_1k) == expected, (x, z)
+
+
+def test_legendre_dp_matches_the_every_k_dp_at_round_and_wheel_boundaries():
+    # p^3 moves p between the rounds and the tail; x = 30030 m +- 1 puts x // k
+    # next to a wheel period; from 30030^2 on sqrt(x) passes the period, and
+    # k p and the tail primes q reach past it, to index phi(30030) = 5760 on
+    cases = [(p**3 + d, z) for p in range(17, 48) for d in (-1, 0, 1) for z in (p, p + 1, 60)]
+    for x in [30030 * m + d for m in (1, 2, 3, 29, 1000) for d in (-1, 1)]:
+        cases += [(x, z) for z in (14, 17, 29, isqrt(x), isqrt(x) + 1)]
+    for x in (30030**2 - 1, 30030**2, 30031**2, 2 * 30030**2 + 1):
+        cases += [(x, z) for z in (17, 30030, isqrt(x) + 1)]
+    for x, z in cases:
+        expected = oracles.counting_dp_every_k(x, z, _PI_TABLE)
+        assert _legendre_dp(x, z, _PI_TABLE) == expected, (x, z)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    # about half the draws have sqrt(x) past the wheel period
+    x=st.one_of(st.integers(1, 30030**2 - 1), st.integers(30030**2, 10**10)),
+    z=st.integers(2, 100_001),
+)
+def test_legendre_dp_matches_the_every_k_dp_property(x, z):
+    assert _legendre_dp(x, z, _PI_TABLE) == oracles.counting_dp_every_k(x, z, _PI_TABLE)
+
+
+def test_the_wheel_reservation_covers_what_the_wheel_tables_hold():
+    sieve._wheel_phi.cache_clear()
+    tracemalloc.start()
+    try:
+        for a in range(len(sieve.WHEEL_PRIMES) + 1):
+            sieve._wheel_phi(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sieve._WHEEL_TABLE_BYTES
 
 
 @pytest.mark.parametrize(
