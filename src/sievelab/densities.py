@@ -15,12 +15,12 @@ verify term by term.
 """
 
 from bisect import bisect_right
-from decimal import Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple
 
-from .highprec import EXACT, WORKING_PREC, fraction_to_decimal, ln_decimal
+from .highprec import EXACT, WORKING, fraction_to_decimal, ln_decimal
 from .sieve import PrimeTable, sifting_primes
 
 # The harmonic chain carries ln z as an integer scaled by 10^75: at least 75
@@ -29,7 +29,6 @@ from .sieve import PrimeTable, sifting_primes
 # digits gives ln z correctly rounded there (a test checks every z).
 _LOG_GUARD_PREC = 75
 _LOG_ONE = 10**_LOG_GUARD_PREC
-_WORKING = Context(prec=WORKING_PREC)
 # Floats further apart than this share of the larger are ordered as the
 # exact values they round (see _chain_ordered).
 _FLOAT_MARGIN = 1e-9
@@ -187,7 +186,7 @@ def iter_harmonic_chain(z_max: int, table: PrimeTable) -> Iterator[tuple[int, Ha
         log = logs[p] + logs[z // p] if p else log + _log_ratio(z)
         if z < len(logs):
             logs[z] = log
-        log_z = Decimal(log).scaleb(-_LOG_GUARD_PREC, _WORKING)
+        log_z = Decimal(log).scaleb(-_LOG_GUARD_PREC, WORKING)
         yield z, HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z))
 
 

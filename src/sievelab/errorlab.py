@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 from .densities import mertens_product
 from .errors import CapExceededError
-from .highprec import WORKING_PREC, fraction_to_decimal, ln_decimal
+from .highprec import WORKING, fraction_to_decimal, ln_decimal
 from .moebius import (
     DEFAULT_MAX_PI_Z,
     frac_bound_b3,
@@ -155,8 +155,7 @@ def chebyshev_check(x: int, table: PrimeTable, pi_x: int | None = None) -> Cheby
     pi_z = prime_count(z_used, table)
     survivors = survivor_count(x, z_used, table)
     s_plus = survivors + prime_count(z_used - 1, table)
-    with localcontext() as ctx:
-        ctx.prec = WORKING_PREC
+    with localcontext(WORKING):
         mertens_upper = Decimal(x) / (ln_decimal(x) / 2)
         holds_53 = Decimal(survivors) < mertens_upper + pi_z
     return ChebyshevRecord(

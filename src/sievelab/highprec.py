@@ -1,20 +1,21 @@
 """High-precision real arithmetic on top of the stdlib decimal module.
 
-Exact quantities live as Fractions everywhere else in the package; this module
-is the single place where they are lowered to decimals for ratio columns,
+This module is the single place where exact quantities, Fractions and the
+density table's DecimalRatios, are lowered to decimals for ratio columns,
 report rendering and the harmonic chain's near-tie comparisons (the chain
 compares correctly rounded floats where its sides are far apart).  The
-working precision (60 significant digits) comfortably exceeds the 50 digits
-the comparisons need.
+working precision (60 significant digits, the WORKING context) comfortably
+exceeds the 50 digits the comparisons need.
 
-A fraction n/d is lowered with integer arithmetic alone: one divmod of n
-scaled by a power of ten against d yields the `prec`-digit quotient and its
-remainder, and comparing twice the remainder with d rounds it half-even.  No
-numerator or denominator (thousands of digits for a harmonic number or a
-primorial) is ever converted to a Decimal.  The result equals
-Decimal(n) / Decimal(d) in a `prec`-digit context, exponent included: an
-exact quotient drops trailing zeros toward exponent 0, so 1/4 gives 0.25 and
-6/2 gives 3.
+Every rounding is decimal's own, in decimal_quotient, which lowers a
+DecimalRatio in one division.  A fraction n/d is first cut with integer
+arithmetic: one divmod of n scaled by a power of ten against d gives a
+quotient of at least prec + 1 digits, and a nonzero remainder becomes a
+sticky half unit past its last digit, which rounds as the remainder would
+(Goldberg's guard and sticky digits).  No numerator or denominator
+(thousands of digits for a harmonic number or a primorial) is ever converted
+to a Decimal, and the result equals Decimal(n) / Decimal(d) in a
+`prec`-digit context, exponent included: 1/4 gives 0.25 and 6/2 gives 3.
 
 Reports render from the 60-digit value rounded again to 30 digits rather
 than from the fraction rounded once; the two differ where the 60-digit value
@@ -24,9 +25,7 @@ rounding.
 Ints of any size are written in decimal by int_to_str: str() below about
 3900 digits, and past that (where Python's 4300-digit limit would refuse
 str()) by divide and conquer through exact Decimal arithmetic, as CPython
-3.12's _pylong.int_to_decimal_string does.  Quantities already held as
-integer-valued Decimals (the density table's) are lowered by decimal_quotient,
-one division at the working precision.
+3.12's _pylong.int_to_decimal_string does.
 """
 
 from decimal import (
@@ -43,6 +42,9 @@ RENDER_DIGITS = 30
 # fail with MemoryError, so it is never asked for here: only +, -, *, //, %.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                 traps=[Inexact, InvalidOperation, DivisionByZero, Overflow])
+# The working and rendering precisions, each in one context.
+WORKING = Context(prec=WORKING_PREC)
+_RENDER = Context(prec=RENDER_DIGITS)
 # int_to_str uses str() below this many bits, at most 3914 digits, safely
 # under the 4300-digit limit; str() is as fast as the split up to about 10^4
 # digits and quadratic beyond.
@@ -52,46 +54,29 @@ _PIECE_BITS = 1024
 
 
 def fraction_to_decimal(q: Fraction, prec: int = WORKING_PREC) -> Decimal:
-    """Round an exact rational to a Decimal with `prec` significant digits."""
+    """Round an exact rational to a Decimal with `prec` significant digits.
+
+    |n| * 10^s / d is cut to an integer m of at least prec + 1 digits, and a
+    nonzero remainder becomes a sticky half unit: every prec-digit rounding
+    boundary is an integer in units of m, so decimal_quotient rounds
+    (2m + sticky) / (2 * 10^s) as it would round n / d.  The result is
+    Decimal(n) / Decimal(d) at `prec` digits, exponent included: an exact
+    quotient takes decimal's ideal exponent 0 in both.
+    """
     n, d = q.numerator, q.denominator
-    if n == 0:
-        return Decimal(0)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    # n / d > 2^(bits(n) - bits(d) - 1), so 10^e <= n / d < 10^(e + 3) and
-    # the quotient below has prec to prec + 2 digits; the excess is folded
-    # into the remainder.
+    # for n != 0, |n| / d > 2^(bits(n) - bits(d) - 1), so 10^e <= |n| / d
     e = (n.bit_length() - d.bit_length() - 1) * 30103 // 100000 - 1
-    shift = prec - 1 - e
-    if shift >= 0:
-        digits, r = divmod(n * 10**shift, d)
-    else:
-        d *= 10**-shift
-        digits, r = divmod(n, d)
-    excess = len(str(digits)) - prec
-    if excess > 0:
-        scale = 10**excess
-        digits, low = divmod(digits, scale)
-        r += low * d
-        d *= scale
-        shift -= excess
-    if r == 0:
-        while shift > 0 and digits % 10 == 0:
-            digits //= 10
-            shift -= 1
-    elif 2 * r > d or (2 * r == d and digits & 1):
-        digits += 1
-        if digits == 10**prec:
-            digits //= 10
-            shift -= 1
-    return Decimal(f"{sign}{digits}E{-shift}")
+    scale = 10 ** max(prec - e, 0)
+    m, r = divmod(abs(n) * scale, d)
+    half_units = 2 * m + (r != 0)
+    num = Decimal(-half_units if n < 0 else half_units)
+    return decimal_quotient(num, Decimal(2 * scale), prec)
 
 
 def decimal_quotient(num: Decimal, den: Decimal, prec: int = WORKING_PREC) -> Decimal:
     """num / den rounded to `prec` significant digits, for integer-valued
-    Decimals of any size; for integers it equals fraction_to_decimal of
-    Fraction(num, den), exponent included."""
-    with localcontext() as ctx:
+    Decimals of any size: the one lowering of both Fractions and DecimalRatios."""
+    with localcontext(WORKING) as ctx:
         ctx.prec = prec
         return num / den
 
@@ -131,15 +116,11 @@ def ln_decimal(n: int) -> Decimal:
     """Natural logarithm of a positive integer at WORKING_PREC significant digits."""
     if n <= 0:
         raise ValueError(f"ln requires a positive argument, got {n}")
-    with localcontext() as ctx:
-        ctx.prec = WORKING_PREC
-        return Decimal(n).ln()
+    return Decimal(n).ln(WORKING)
 
 
 def render(value: Decimal | Fraction) -> str:
     """Deterministic decimal string with at most RENDER_DIGITS significant digits."""
     if isinstance(value, Fraction):
         value = fraction_to_decimal(value)
-    with localcontext() as ctx:
-        ctx.prec = RENDER_DIGITS
-        return str(+value)
+    return str(_RENDER.plus(value))

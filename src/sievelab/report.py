@@ -15,7 +15,7 @@ from typing import Any, Iterable, Iterator, Sequence, TextIO
 from .densities import DecimalRatio, DensityEntry
 from .errorlab import ChebyshevRecord, ErrorRecord, ProbeRow
 from .highprec import (
-    WORKING_PREC, decimal_quotient, fraction_to_decimal, int_to_str, ln_decimal, render,
+    WORKING, decimal_quotient, fraction_to_decimal, int_to_str, ln_decimal, render,
 )
 
 FORMATS = ("csv", "json")
@@ -82,8 +82,7 @@ def _ratio_dec(ratio: DecimalRatio) -> str:
 
 
 def _ratio_error_logx_over_x(error: Fraction, x: int) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = WORKING_PREC
+    with localcontext(WORKING):
         return fraction_to_decimal(abs(error)) * ln_decimal(x) / x
 
 

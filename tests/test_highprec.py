@@ -92,6 +92,19 @@ def test_halfway_cases_round_to_even():
     ]
     assert str(fraction_to_decimal(Fraction(25, 1000), 1)) == "0.02"
     assert str(fraction_to_decimal(Fraction(35, 1000), 1)) == "0.04"
+    # ties at the rounding digit broken only by a remainder far past the cut,
+    # the second pair with no scaling of the numerator at all
+    near_ties = {
+        Fraction(25 * 10**70 + 1, 10**73): "0.03",
+        Fraction(25 * 10**70 - 1, 10**73): "0.02",
+        Fraction(-(25 * 10**70 + 1), 10**73): "-0.03",
+        Fraction(25 * 10**80 + 1, 10**10): "3E+71",
+        Fraction(25 * 10**80 - 1, 10**10): "2E+71",
+        Fraction(-(25 * 10**80 + 1), 10**10): "-3E+71",
+    }
+    assert {q: str(fraction_to_decimal(q, 1)) for q in near_ties} == near_ties
+    for q in near_ties:
+        _same_as_division(q, 1)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
