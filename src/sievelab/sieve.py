@@ -3,7 +3,7 @@
 The classifier partitions 1..x into disjoint classes: for each sifting prime
 p < z, the integers whose least prime factor is p; everything left over
 (1, the primes in [z, x], and composites with no factor below z) survives.
-Two routes compute it, and they share no counting arithmetic.
+A sieve and a count compute it, and they share no counting arithmetic.
 
 lpf_census sieves.  It runs over fixed-size segments with bytearray slice
 marking, so the hot loops stay in C.  The layout is wheel-2: one segment
@@ -15,16 +15,24 @@ loop.  Its two callers sieve only the primes up to sqrt(x), which own every
 composite <= x: lpf_census counts each larger sifting prime up to x as one
 integer, and prime_counts reads pi at ascending x from one pass.
 
-survivor_count counts, at every x: it evaluates Legendre's sum as Lucy
-Hedgehog's dynamic programme over the O(sqrt x) values x // k.  The DP
-starts after the wheel primes 2, 3, 5, 7, 11 and 13: Legendre's phi(v, a) is
-periodic modulo their product P_a, phi(v, a) = (v // P_a) phi(P_a) +
-phi(v mod P_a, a) (Lehmer 1959; Lagarias, Miller and Odlyzko 1985), so one
-cached table of phi mod P_a <= 30030 replaces their rounds.  Of the x // k
-it then holds only those with k prime to P_a, 5760 in each 30030, the only
-ones it reads.  Its rounds end at the cube root of x: each later sifting
-prime up to sqrt(x) adds one term read from the last round's values
-(Meissel's observation).
+survivor_count counts: it evaluates Legendre's phi(x, a), the integers in
+[1, x] with no factor among the first a = pi(z - 1) primes, by one of two
+exact routes.  Both start after the wheel primes 2, 3, 5, 7, 11 and 13:
+phi(v, a) is periodic modulo their product P_a, phi(v, a) = (v // P_a)
+phi(P_a) + phi(v mod P_a, a) (Lehmer 1959; Lagarias, Miller and Odlyzko
+1985), so one cached table of phi mod P_a <= 30030 replaces their rounds.
+
+_lpf_recursion removes each integer once, by its least prime factor:
+phi(v, j) = phi(v, w) - sum over w <= i < j of phi(v // p_i, i), the class
+of p_i (Legendre 1808), and for p_i^2 > v that class is p_i alone.  With m
+sifting primes after the wheel up to r = isqrt(x), it makes at most 2^m
+calls and holds no list.  _legendre_dp is Lucy Hedgehog's dynamic programme
+over the O(sqrt x) values x // k: it builds r + 1 entries before its first
+round, and of the x // k it holds only those with k prime to P_a, 5760 in
+each 30030, the only ones it reads.  Its rounds end at the cube root of x:
+each later sifting prime up to sqrt(x) adds one term read from the last
+round's values (Meissel's observation).  survivor_count takes the recursion
+when 2^m <= r, a bound on its work, and the DP otherwise.
 
 Each route's whole contract on x is one public check, check_survivor_count
 or check_sieve_pass: the route makes it before any work, and a caller can make
@@ -344,13 +352,53 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     return 1 + large[0] - tail - prime_count(min(z - 1, x), table)
 
 
+def _lpf_recursion(x: int, primes: tuple[int, ...], w: int) -> int:
+    """phi(x, j), j = len(primes): the integers in [1, x] with no factor among
+    `primes`, a prefix of the ascending primes whose first w are wheel primes.
+
+    Each integer is removed once, by its least prime factor, so phi(v, j) =
+    phi(v, w) - sum over w <= i < j of phi(v // p_i, i), the class of p_i
+    (Legendre 1808), with phi(v, w) from _wheel_phi(w).  Once p_i^2 > v,
+    v // p_i < p_i and the class of p_i is p_i alone if p_i <= v, so the rest
+    of the sum is one bisect_right and no call is made.  A call is thus made
+    for a set of primes after the wheel, each <= isqrt(x): at most 2^m calls
+    for m such primes, and no list is held.
+    """
+    period, phi_period, phi, _ = _wheel_phi(w)
+
+    def count(v: int, j: int) -> int:
+        left = v // period * phi_period + phi[v % period]
+        for i in range(w, j):
+            p = primes[i]
+            if p * p > v:
+                return left - (bisect_right(primes, v, i, j) - i)
+            left -= count(v // p, i)
+        return left
+
+    return count(x, len(primes))
+
+
 def survivor_count(x: int, z: int, table: PrimeTable) -> int:
-    """Number of integers in [1, x] with no prime factor below z, by the
-    counting DP (_legendre_dp) at every x >= 1, so that at every x it and
-    lpf_census are independent routes."""
+    """Number of integers in [1, x] with no prime factor below z.
+
+    Let m be the number of sifting primes after the wheel up to r = isqrt(x).
+    When 2^m <= r (or m <= 0), the least-prime-factor recursion
+    (_lpf_recursion) makes at most 2^m calls, no more than the r + 1 entries
+    the counting DP (_legendre_dp) builds before its first round; else the DP
+    counts.  Both are exact evaluations of Legendre's phi(x, pi(z - 1)), and
+    at every x lpf_census is a route independent of either.  The DP's lists
+    are reserved (check_survivor_count) on both routes, so whether x is
+    refused does not depend on z."""
     _check_sifting(z, table)
     check_survivor_count(x)
-    return _legendre_dp(x, z, table) if x else 0
+    if not x:
+        return 0
+    r = isqrt(x)
+    m = bisect_right(table.primes, min(z - 1, r)) - len(WHEEL_PRIMES)
+    if m >= r.bit_length():  # 2^m > r
+        return _legendre_dp(x, z, table)
+    primes = table.primes[: bisect_right(table.primes, min(z - 1, x))]
+    return _lpf_recursion(x, primes, min(len(primes), len(WHEEL_PRIMES)))
 
 
 def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:

@@ -99,8 +99,10 @@ _ROUTE_REFUSALS = {
 @pytest.mark.parametrize("budget, call, error, message",
                          _ROUTE_REFUSALS.values(), ids=_ROUTE_REFUSALS.keys())
 def test_sieve_routes_refuse_before_any_work(table_1k, monkeypatch, budget, call, error, message):
-    # with the DP and the segmented pass unable to run, the refusal must still be the one raised
+    # with both counting routes and the segmented pass unable to run, the
+    # refusal must still be the one raised
     monkeypatch.setattr(sieve, "_legendre_dp", _no_work)
+    monkeypatch.setattr(sieve, "_lpf_recursion", _no_work)
     monkeypatch.setattr(sieve, "_sieve_pass", _no_work)
     if budget is None:
         monkeypatch.delenv("SIEVELAB_MEMORY_BUDGET", raising=False)
@@ -130,9 +132,10 @@ _ERRORLAB_REFUSALS = {
 @pytest.mark.parametrize("call, message", _ERRORLAB_REFUSALS.values(),
                          ids=_ERRORLAB_REFUSALS.keys())
 def test_errorlab_routes_refuse_before_any_work(table_1k, monkeypatch, call, message):
-    # with the counting DP and the Möbius enumeration unable to run, the
+    # with both counting routes and the Möbius enumeration unable to run, the
     # refusal must still be the one raised
     monkeypatch.setattr(sieve, "_legendre_dp", _no_work)
+    monkeypatch.setattr(sieve, "_lpf_recursion", _no_work)
     monkeypatch.setattr(moebius, "_signed_subset_products", _no_work)
     with pytest.raises(ValueError) as exc:
         call(table_1k)

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from bisect import bisect_right
 from math import isqrt
 
 import pytest
@@ -238,12 +239,22 @@ def test_census_rejects_bad_arguments(table_1k):
         survivor_count(1 << 49, 4, table_1k)
 
 
-def test_survivor_count_routes_agree_at_the_threshold_and_at_1e8(table_1m):
-    # survivor_count counts by the DP and lpf_census sieves, at every x;
-    # 2^20 was once the threshold between two survivor_count routes
+def test_survivor_count_routes_agree_at_the_threshold_and_at_1e8(table_1m, monkeypatch):
+    # lpf_census sieves at every x, and survivor_count counts by one of its
+    # two routes; 2^20 was once the threshold between two survivor_count routes
     for x in (2**20 - 1, 2**20, 10**8):
         for z in (2, 3, 31, isqrt(x), isqrt(x) + 1):
             assert survivor_count(x, z, table_1m) == lpf_census(x, z, table_1m).survivors, (x, z)
+    # With the first m primes after the wheel sifted, x = 4^m - 1 has
+    # isqrt(x) < 2^m and takes the DP, and x = 4^m takes the recursion; each
+    # time the other route is replaced by one that fails.
+    after_wheel = table_1m.primes[len(sieve.WHEEL_PRIMES) :]
+    sides = [(4**m - d, after_wheel[m - 1] + 1, d) for m in range(5, 16) for d in (1, 0)]
+    expected = [_legendre_dp(x, z, table_1m) for x, z, _ in sides]
+    for (x, z, to_dp), dp in zip(sides, expected):
+        monkeypatch.setattr(sieve, "_lpf_recursion" if to_dp else "_legendre_dp", _no_route)
+        assert survivor_count(x, z, table_1m) == dp, (x, z)
+        monkeypatch.undo()
 
 
 def test_x_of_0_has_no_survivors_and_no_class(table_1k):
@@ -286,11 +297,27 @@ def test_the_dp_budget_covers_the_wheel_tables(table_1k, monkeypatch):
     assert survivor_count(x, 29, table_1k) == expected
 
 
+def _no_route(*args):
+    raise AssertionError("survivor_count took the other route")
+
+
+def _recursion_route(x: int, z: int, table: sieve.PrimeTable) -> int:
+    """survivor_count's recursion route at any x >= 1, whichever route it selects."""
+    primes = table.primes[: bisect_right(table.primes, min(z - 1, x))]
+    return sieve._lpf_recursion(x, primes, min(len(primes), len(sieve.WHEEL_PRIMES)))
+
+
+# survivor_count's two counting routes, each checked against the same oracles
+ROUTES = (_legendre_dp, _recursion_route)
+
+
 def test_legendre_dp_matches_the_oracle_on_both_sides_of_each_wheel_prime(table_1k):
-    # below 13^2 = 169 there are fewer wheel rounds than z allows
-    for x in range(1, 301):
-        for z in range(2, 19):
-            assert _legendre_dp(x, z, table_1k) == oracles.survivors(x, z), (x, z)
+    # below 13^2 = 169 there are fewer wheel rounds than z allows; z - 1 > x
+    # leaves every sifting prime above x
+    for route in ROUTES:
+        for x in range(1, 301):
+            for z in (*range(2, 19), x + 2, 2 * x + 3):
+                assert route(x, z, table_1k) == oracles.survivors(x, z), (route, x, z)
 
 
 @pytest.mark.parametrize("x", [2**20 - 1, 2**20, 3 * 10**6 + 1])
@@ -311,7 +338,9 @@ def test_legendre_dp_matches_the_pass_across_the_cube_root(table_1k):
     for p in (17, 19, 23, 29, 31, 37):
         for x in (p**3 - 1, p**3, p**3 + 1, p * p * (p + 2)):
             for z in range(2, isqrt(x) + 3):
-                assert _legendre_dp(x, z, table_1k) == lpf_census(x, z, table_1k).survivors, (x, z)
+                expected = lpf_census(x, z, table_1k).survivors
+                for route in ROUTES:
+                    assert route(x, z, table_1k) == expected, (route, x, z)
 
 
 def test_legendre_dp_matches_the_every_k_dp_at_every_small_x(table_1k):
@@ -319,21 +348,30 @@ def test_legendre_dp_matches_the_every_k_dp_at_every_small_x(table_1k):
     for x in range(1, 3001):
         for z in (*range(2, 20), 29, 31, isqrt(x) + 1):
             expected = oracles.counting_dp_every_k(x, z, table_1k)
-            assert _legendre_dp(x, z, table_1k) == expected, (x, z)
+            for route in ROUTES:
+                assert route(x, z, table_1k) == expected, (route, x, z)
 
 
 def test_legendre_dp_matches_the_every_k_dp_at_round_and_wheel_boundaries():
     # p^3 moves p between the rounds and the tail; x = 30030 m +- 1 puts x // k
     # next to a wheel period; from 30030^2 on sqrt(x) passes the period, and
-    # k p and the tail primes q reach past it, to index phi(30030) = 5760 on
+    # k p and the tail primes q reach past it, to index phi(30030) = 5760 on.
+    # p^2 moves p between the recursion's calls and its one bisect_right, and
+    # isqrt(x) = 2^m - 1 or 2^m with the first m primes after the wheel sifted
+    # puts x on either side of survivor_count's choice between the routes.
     cases = [(p**3 + d, z) for p in range(17, 48) for d in (-1, 0, 1) for z in (p, p + 1, 60)]
+    cases += [(p * p + d, z) for p in range(17, 48) for d in (-1, 0, 1) for z in (p, p + 1, 60)]
+    after_wheel = _PI_TABLE.primes[len(sieve.WHEEL_PRIMES) :]
+    for m in range(1, 16):
+        cases += [(x, z) for x in (4**m - 1, 4**m) for z in (14, after_wheel[m - 1] + 1, 100)]
     for x in [30030 * m + d for m in (1, 2, 3, 29, 1000) for d in (-1, 1)]:
         cases += [(x, z) for z in (14, 17, 29, isqrt(x), isqrt(x) + 1)]
     for x in (30030**2 - 1, 30030**2, 30031**2, 2 * 30030**2 + 1):
         cases += [(x, z) for z in (17, 30030, isqrt(x) + 1)]
     for x, z in cases:
         expected = oracles.counting_dp_every_k(x, z, _PI_TABLE)
-        assert _legendre_dp(x, z, _PI_TABLE) == expected, (x, z)
+        for route in ROUTES:
+            assert route(x, z, _PI_TABLE) == expected, (route, x, z)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -343,7 +381,9 @@ def test_legendre_dp_matches_the_every_k_dp_at_round_and_wheel_boundaries():
     z=st.integers(2, 100_001),
 )
 def test_legendre_dp_matches_the_every_k_dp_property(x, z):
-    assert _legendre_dp(x, z, _PI_TABLE) == oracles.counting_dp_every_k(x, z, _PI_TABLE)
+    expected = oracles.counting_dp_every_k(x, z, _PI_TABLE)
+    for route in ROUTES:
+        assert route(x, z, _PI_TABLE) == expected, route
 
 
 def test_the_wheel_reservation_covers_what_the_wheel_tables_hold():
@@ -385,7 +425,8 @@ def test_census_oracle_property(x, z):
 def test_legendre_dp_oracle_property(x, z):
     # x < 17^3, so every sifting prime after the wheel is a tail term, and z
     # runs far above sqrt(x)
-    assert _legendre_dp(x, z, _PROPERTY_TABLE) == oracles.survivors(x, z)
+    for route in ROUTES:
+        assert route(x, z, _PROPERTY_TABLE) == oracles.survivors(x, z), route
 
 
 _PROPERTY_TABLE = build_prime_table(3_000)
