@@ -20,7 +20,6 @@ from . import identities, report
 from .densities import build_density_table
 from .errorlab import chebyshev_check, check_point, legendre_blowup_probe, run_sweep
 from .errors import CapExceededError, ResourceLimitError
-from .moebius import DEFAULT_MAX_PI_Z, check_enumeration
 from .sieve import build_prime_table, check_sieve_pass, check_survivor_count
 from .sieve import prime_counts, sifting_primes
 
@@ -74,7 +73,7 @@ def int_at_least(low: int) -> Callable[[str], int]:
 # The sweep flags a config file may set, by dest.  A switch's value true or
 # false (1/0, yes/no, on/off) sets --key or --no-key.
 _CONFIG_SWITCHES = ("frac", "moebius_check")
-_CONFIG_KEYS = (*_CONFIG_SWITCHES, "x", "z", "format", "out", "max_pi_z")
+_CONFIG_KEYS = (*_CONFIG_SWITCHES, "x", "z", "format", "out")
 _SWITCH_PREFIX = {
     **dict.fromkeys(("1", "true", "yes", "on"), "--"),
     **dict.fromkeys(("0", "false", "no", "off"), "--no-"),
@@ -117,19 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     report_flags.add_argument("--format", choices=report.FORMATS, default="csv")
     report_flags.add_argument("--out", metavar="PATH",
                               help="write the report here instead of stdout")
-    cap_flag = argparse.ArgumentParser(add_help=False)
-    cap_flag.add_argument(
-        "--max-pi-z", type=int_at_least(0), default=DEFAULT_MAX_PI_Z,
-        help=f"most sifting primes a Möbius sum may enumerate (default {DEFAULT_MAX_PI_Z})",
-    )
 
-    p = sub.add_parser("verify-identities", parents=[cap_flag],
-                       help="run the exact-identity suite")
+    p = sub.add_parser("verify-identities", help="run the exact-identity suite")
     p.add_argument("--limit", type=int_at_least(0), default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("sweep", parents=[report_flags, cap_flag],
+    p = sub.add_parser("sweep", parents=[report_flags],
                        help="evaluate an (x, z) grid and emit a report")
     p.add_argument("--config", metavar="PATH",
                    help="key = value file of these flags; the command line overrides it")
@@ -151,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(run=_cmd_chebyshev)
 
-    p = sub.add_parser("blowup-probe", parents=[report_flags, cap_flag],
+    p = sub.add_parser("blowup-probe", parents=[report_flags],
                        help="term-count growth of the full Möbius sum")
     p.add_argument("--z-max", type=int_at_least(2), default=31)
     p.add_argument("--x", type=int_at_least(1), default=1_000_000)
@@ -173,8 +166,6 @@ def _identity_families(limit: int, args) -> list[tuple[str, Iterator[tuple[str, 
     rng = random.Random(args.seed)
     table = build_prime_table(max(limit, 31))
     z_cap = min(31, limit + 1)
-    # the largest enumeration of any family: the Legendre sum at z = z_cap
-    check_enumeration(sifting_primes(table, z_cap), args.max_pi_z)
 
     def draw_x() -> int:
         return rng.randrange(1, limit + 1)
@@ -184,19 +175,18 @@ def _identity_families(limit: int, args) -> list[tuple[str, Iterator[tuple[str, 
             x = draw_x()
             yield x, max(2, rng.choice([2, min(x + 1, limit), rng.randrange(2, limit + 2)]))
 
-    cap = args.max_pi_z
     return [
         ("partition", identities.partition(mixed_z(), table)),
         # censuses at min(z_cap, 6): the classes of 2, 3 and 5 below z_cap
         ("class recursion", identities.class_recursion(
             ((draw_x(), min(z_cap, 6)) for _ in range(5)), table)),
         ("Legendre sum", identities.legendre(
-            ((draw_x(), z) for z in range(2, z_cap + 1) for _ in range(3)), table, cap)),
+            ((draw_x(), z) for z in range(2, z_cap + 1) for _ in range(3)), table)),
         ("per-prime Möbius", identities.per_prime(
-            ((draw_x(), p) for p in sifting_primes(table, z_cap) for _ in range(3)), table, cap)),
+            ((draw_x(), p) for p in sifting_primes(table, z_cap) for _ in range(3)), table)),
         ("density telescoping", identities.telescoping(min(limit, 10_000), table)),
         ("exact remainder", identities.remainder(
-            ((draw_x(), rng.randrange(2, z_cap + 1)) for _ in range(20)), table, cap)),
+            ((draw_x(), rng.randrange(2, z_cap + 1)) for _ in range(20)), table)),
         ("harmonic chain", identities.harmonic(min(limit, 10_000), table)),
     ]
 
@@ -225,14 +215,13 @@ def _cmd_sweep(args, out) -> int:
             raise ValueError(f"sweep point x={x} is below 2")
         z = z_of(x)
         check_point(x, z)
+        check_survivor_count(x, z)
         points.append((x, z))
     rows = []
     if points:
-        # the largest x is the costliest point: refuse it before any work
-        check_survivor_count(points[-1][0])
         table = build_prime_table(max(z for _, z in points))
         records = run_sweep(points, table, moebius_cross_check=args.moebius_check,
-                            frac_remainder=args.frac, max_pi_z=args.max_pi_z)
+                            frac_remainder=args.frac)
         rows = [report.error_row(rec) for rec in records]
     out.write(report.format_rows(rows, report.ERROR_COLUMNS, args.format))
     return 0
@@ -254,7 +243,7 @@ def _chebyshev_grid(x_max: int, mode: str, extra: int, seed: int) -> list[int]:
 def _cmd_chebyshev(args, out) -> int:
     grid = _chebyshev_grid(args.x_max, args.grid, args.random, args.seed)
     # refuse x-max before any work: its survivor count, then the pass to it
-    check_survivor_count(args.x_max)
+    check_survivor_count(args.x_max, isqrt(args.x_max) + 1)
     check_sieve_pass(args.x_max)
     table = build_prime_table(isqrt(args.x_max) + 1)
     pi_xs = prime_counts(grid, table)
@@ -271,7 +260,7 @@ def _cmd_chebyshev(args, out) -> int:
 
 def _cmd_blowup(args, out) -> int:
     table = build_prime_table(args.z_max)
-    rows = legendre_blowup_probe(args.z_max, args.x, table, max_pi_z=args.max_pi_z)
+    rows = legendre_blowup_probe(args.z_max, args.x, table)
     report.write_rows(map(report.probe_row, rows), report.PROBE_COLUMNS, args.format, out)
     return 0
 

@@ -18,12 +18,7 @@ from typing import Callable, Iterable
 from .densities import mertens_product
 from .errors import CapExceededError
 from .highprec import WORKING, fraction_to_decimal, ln_decimal
-from .moebius import (
-    DEFAULT_MAX_PI_Z,
-    frac_bound_b3,
-    frac_remainder_sum,
-    legendre_sum,
-)
+from .moebius import frac_bound_b3, frac_remainder_sum, legendre_sum
 from .sieve import PrimeTable, prime_count, survivor_count
 
 # Per-point Möbius cross-checks are enabled by default only this far; the
@@ -82,7 +77,6 @@ def evaluate_point(
     *,
     moebius_cross_check: bool = True,
     frac_remainder: bool = False,
-    max_pi_z: int = DEFAULT_MAX_PI_Z,
 ) -> ErrorRecord:
     """Evaluate one sweep point exactly.
 
@@ -101,7 +95,7 @@ def evaluate_point(
         """route at this point against expected, flagged name=ok, or name=cap
         when route refuses at the enumeration cap (returning None)."""
         try:
-            value = route(x, z, table, max_pi_z=max_pi_z)
+            value = route(x, z, table)
         except CapExceededError:
             flags.append(f"{name}=cap")
             return None
@@ -169,13 +163,7 @@ def chebyshev_check(x: int, table: PrimeTable, pi_x: int | None = None) -> Cheby
     )
 
 
-def legendre_blowup_probe(
-    z_max: int,
-    x: int,
-    table: PrimeTable,
-    *,
-    max_pi_z: int = DEFAULT_MAX_PI_Z,
-) -> list[ProbeRow]:
+def legendre_blowup_probe(z_max: int, x: int, table: PrimeTable) -> list[ProbeRow]:
     """Term counts (exact) and wall times for the full Möbius sum as z grows.
 
     Rows past the enumeration cap still carry the exact term count, with status
@@ -188,7 +176,7 @@ def legendre_blowup_probe(
         term_count = 1 << k
         try:
             t0 = time.perf_counter()
-            legendre_sum(x, z, table, max_pi_z=max_pi_z)
+            legendre_sum(x, z, table)
             rows.append(ProbeRow(z, term_count, time.perf_counter() - t0, "ok"))
         except CapExceededError:
             rows.append(ProbeRow(z, term_count, None, "cap"))

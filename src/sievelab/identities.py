@@ -9,7 +9,6 @@ import), so a function rebound on its module is the one every family calls.
 from typing import Iterable, Iterator
 
 from . import densities, moebius, sieve
-from .moebius import DEFAULT_MAX_PI_Z
 from .sieve import PrimeTable
 
 Samples = Iterable[tuple[int, int]]
@@ -34,17 +33,17 @@ def class_recursion(samples: Samples, table: PrimeTable) -> Checks:
             yield f"(x={x}, p={p})", sieve.count_lpf(x, p, table) == size
 
 
-def legendre(samples: Samples, table: PrimeTable, max_pi_z: int = DEFAULT_MAX_PI_Z) -> Checks:
+def legendre(samples: Samples, table: PrimeTable) -> Checks:
     """The full Möbius sum equals the sieve's survivor count at each (x, z)."""
     for x, z in samples:
-        total = moebius.legendre_sum(x, z, table, max_pi_z=max_pi_z)
+        total = moebius.legendre_sum(x, z, table)
         yield f"(x={x}, z={z})", total == sieve.survivor_count(x, z, table)
 
 
-def per_prime(samples: Samples, table: PrimeTable, max_pi_z: int = DEFAULT_MAX_PI_Z) -> Checks:
+def per_prime(samples: Samples, table: PrimeTable) -> Checks:
     """The class size at each (x, p) by the per-prime Möbius sum and by count_lpf."""
     for x, p in samples:
-        size = moebius.lpf_count_via_moebius(x, p, table, max_pi_z=max_pi_z)
+        size = moebius.lpf_count_via_moebius(x, p, table)
         yield f"(x={x}, p={p})", size == sieve.count_lpf(x, p, table)
 
 
@@ -54,11 +53,11 @@ def telescoping(r_max: int, table: PrimeTable) -> Checks:
         yield f"r={r}", equal
 
 
-def remainder(samples: Samples, table: PrimeTable, max_pi_z: int = DEFAULT_MAX_PI_Z) -> Checks:
+def remainder(samples: Samples, table: PrimeTable) -> Checks:
     """survivors - x * prod_{p<z}(1 - 1/p) equals the fractional-part sum at each (x, z)."""
     for x, z in samples:
         lhs = sieve.survivor_count(x, z, table) - x * densities.mertens_product(z, table)
-        rhs = moebius.frac_remainder_sum(x, z, table, max_pi_z=max_pi_z)
+        rhs = moebius.frac_remainder_sum(x, z, table)
         yield f"(x={x}, z={z})", lhs == rhs
 
 

@@ -3,8 +3,8 @@
 legendre_sum evaluates the classical inclusion-exclusion count of integers
 free of small prime factors as a sum over all divisors of the product of
 sifting primes; the term count is 2^k for k sifting primes, and the evaluator
-is deliberately the honest exponential one, guarded by one configurable cap
-on the number of sifting primes, max_pi_z; nothing else limits it.
+is deliberately the honest exponential one, guarded by one fixed cap on the
+number of sifting primes, MAX_PI_Z; nothing else limits it.
 lpf_count_via_moebius applies the same machinery per sifting prime p, where
 the divisor modulus shrinks to the product of primes strictly below p.  The
 fractional-part sums carry the exact rational remainder left behind when each
@@ -20,15 +20,15 @@ from typing import Iterator
 from .errors import CapExceededError
 from .sieve import PrimeTable, check_prime, sifting_primes
 
-# Default cap on the sifting primes of one enumeration: 2^15 terms, every
-# divisor below 2^64 (the product of the first 16 primes exceeds it).
-DEFAULT_MAX_PI_Z = 15
+# Cap on the sifting primes of one enumeration: 2^15 terms, every divisor
+# below 2^64 (the product of the first 16 primes exceeds it).
+MAX_PI_Z = 15
 
 
-def check_enumeration(primes: tuple[int, ...], cap: int) -> None:
-    """Refuse to enumerate the 2^k divisors of k = len(primes) > cap primes."""
-    if len(primes) > cap:
-        raise CapExceededError(len(primes), cap)
+def check_enumeration(primes: tuple[int, ...]) -> None:
+    """Refuse to enumerate the 2^k divisors of k = len(primes) > MAX_PI_Z primes."""
+    if len(primes) > MAX_PI_Z:
+        raise CapExceededError(len(primes), MAX_PI_Z)
 
 
 def _subset_list(primes: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -52,13 +52,7 @@ def _signed_subset_products(primes: tuple[int, ...]) -> Iterator[tuple[int, int]
             yield value * high_value, sign * high_sign
 
 
-def legendre_sum(
-    x: int,
-    z: int,
-    table: PrimeTable,
-    *,
-    max_pi_z: int = DEFAULT_MAX_PI_Z,
-) -> int:
+def legendre_sum(x: int, z: int, table: PrimeTable) -> int:
     """Count of n <= x with no prime factor below z, as a signed Möbius sum.
 
     Must agree exactly with the sieve's survivor count; the evaluation cost is
@@ -67,17 +61,11 @@ def legendre_sum(
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     primes = sifting_primes(table, z)
-    check_enumeration(primes, max_pi_z)
+    check_enumeration(primes)
     return sum(sign * (x // value) for value, sign in _signed_subset_products(primes))
 
 
-def lpf_count_via_moebius(
-    x: int,
-    p: int,
-    table: PrimeTable,
-    *,
-    max_pi_z: int = DEFAULT_MAX_PI_Z,
-) -> int:
+def lpf_count_via_moebius(x: int, p: int, table: PrimeTable) -> int:
     """Size of the least-prime-factor class of p as a Möbius sum.
 
     Sums mu(d) * floor(x / (d*p)) over the divisors d of the product of
@@ -88,17 +76,11 @@ def lpf_count_via_moebius(
         raise ValueError(f"x must be >= 0, got {x}")
     check_prime(p, table)
     primes = sifting_primes(table, p)
-    check_enumeration(primes, max_pi_z)
+    check_enumeration(primes)
     return sum(sign * (x // (value * p)) for value, sign in _signed_subset_products(primes))
 
 
-def frac_remainder_sum(
-    x: int,
-    z: int,
-    table: PrimeTable,
-    *,
-    max_pi_z: int = DEFAULT_MAX_PI_Z,
-) -> Fraction:
+def frac_remainder_sum(x: int, z: int, table: PrimeTable) -> Fraction:
     """Exact rational remainder of the per-prime Möbius expansion.
 
     Sums mu(d) * {x / (d*p)} over every sifting prime p < z and every divisor
@@ -110,7 +92,7 @@ def frac_remainder_sum(
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     primes = sifting_primes(table, z)
-    check_enumeration(primes[:-1], max_pi_z)  # largest modulus used
+    check_enumeration(primes[:-1])  # largest modulus used
     # Each modulus m = d*p is a squarefree divisor > 1 of the product of the
     # sifting primes, with p its largest prime, so mu(d) = -mu(m); m = 1 adds
     # x mod 1 = 0.  The sum is one integer numerator over that product,

@@ -81,12 +81,15 @@ def _ratio_dec(ratio: DecimalRatio) -> str:
     return render(decimal_quotient(*ratio))
 
 
-def _ratio_error_logx_over_x(error: Fraction, x: int) -> Decimal:
+def _ratio_error_logx_over_x(abs_error: Decimal, x: int) -> Decimal:
     with localcontext(WORKING):
-        return fraction_to_decimal(abs(error)) * ln_decimal(x) / x
+        return abs_error * ln_decimal(x) / x
 
 
 def error_row(rec: ErrorRecord) -> dict[str, Any]:
+    # lowered once: fraction_to_decimal is symmetric in sign, so its copy_abs
+    # is the lowering of |error|
+    error = fraction_to_decimal(rec.error)
     return {
         "x": rec.x,
         "z": rec.z,
@@ -94,7 +97,7 @@ def error_row(rec: ErrorRecord) -> dict[str, Any]:
         "main_term_exact": _exact(rec.main_term),
         "main_term_dec": render(rec.main_term),
         "error_exact": _exact(rec.error),
-        "error_dec": render(rec.error),
+        "error_dec": render(error),
         "pi_z": rec.pi_z,
         "log2_legendre_bound": rec.log2_legendre_bound,
         "b3_exact": _exact(rec.b3_bound),
@@ -103,7 +106,7 @@ def error_row(rec: ErrorRecord) -> dict[str, Any]:
             None if rec.frac_remainder is None else _exact(rec.frac_remainder)
         ),
         "ratio_error_to_pi_z": render(rec.ratio_error_to_pi_z),
-        "ratio_error_logx_over_x": render(_ratio_error_logx_over_x(rec.error, rec.x)),
+        "ratio_error_logx_over_x": render(_ratio_error_logx_over_x(error.copy_abs(), rec.x)),
         "flags": ";".join(rec.flags),
     }
 

@@ -32,12 +32,14 @@ round, and of the x // k it holds only those with k prime to P_a, 5760 in
 each 30030, the only ones it reads.  Its rounds end at the cube root of x:
 each later sifting prime up to sqrt(x) adds one term read from the last
 round's values (Meissel's observation).  survivor_count takes the recursion
-when 2^m <= r, a bound on its work, and the DP otherwise.
+when 2^m <= r, a bound on its work, and the DP otherwise; _takes_dp states
+that rule from (x, z) alone, with no prime table.
 
 Each route's whole contract on x is one public check, check_survivor_count
-or check_sieve_pass: the route makes it before any work, and a caller can make
-it before it builds a prime table.  The memory budget is the
-SIEVELAB_MEMORY_BUDGET environment variable, else 1 GiB.
+(on x and z, which choose the counting route) or check_sieve_pass: the route
+makes it before any work, and a caller can make it before it builds a prime
+table.  The memory budget is the SIEVELAB_MEMORY_BUDGET environment variable,
+else 1 GiB.
 """
 
 import os
@@ -70,6 +72,10 @@ WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 # The _wheel_phi tables and flags for 0..6 wheel primes hold 100.2 KB
 # (tracemalloc peak 100.5 KB): at most 4 bytes per residue of 30030.
 _WHEEL_TABLE_BYTES = 4 * prod(WHEEL_PRIMES)
+# The first 31 primes, to 127: under the 2^48 cap isqrt(x).bit_length() <= 25,
+# so _takes_dp reads no prime past the 6 + 25 = 31st.
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127)
 
 
 @cache
@@ -184,22 +190,34 @@ def _check_sifting(z: int, table: PrimeTable) -> None:
         raise ValueError(f"sifting level {z} needs a table to {z - 1}, limit is {table.limit}")
 
 
-def check_survivor_count(x: int) -> None:
-    """survivor_count's contract on x: a ValueError when x < 0, a
-    ResourceLimitError when x is past MAX_SIEVE_X or the DP's lists for x and
-    the wheel tables are past the memory budget.
+def _takes_dp(x: int, z: int) -> bool:
+    """Whether survivor_count(x, z) takes the counting DP, for 0 <= x <=
+    MAX_SIEVE_X: 2^m > r for the m sifting primes after the wheel up to r =
+    isqrt(x), that is, the (6 + r.bit_length())-th prime is at most z - 1 and r."""
+    r = isqrt(x)
+    return _FIRST_PRIMES[len(WHEEL_PRIMES) + r.bit_length() - 1] <= min(z - 1, r)
+
+
+def check_survivor_count(x: int, z: int) -> None:
+    """survivor_count's contract on (x, z): a ValueError when x < 0, a
+    ResourceLimitError when x is past MAX_SIEVE_X or what its route holds is
+    past the memory budget: the wheel tables, and the DP's lists for x when
+    (x, z) takes the DP.
 
     The DP holds a list of r + 1 ints, r = isqrt(x), two lists of the k it
     keeps and their values (about r / 5 each with six wheel primes), and while
     a range is rebuilt its new ints and slices.  4 (r + 1) list slots and ints
     no larger than x are reserved; tracemalloc measured a peak of 0.81, 1.76
     and 1.86 of them at x = 2^19, 10^8 and 10^9, z = isqrt(x) + 1.  The wheel
-    tables stay cached once built, and are reserved with every DP so that the
-    budget covers all the route holds.
+    tables stay cached once built, and are reserved on both routes so that
+    the budget covers all the route holds.  The recursion holds no list.
     """
     _check_range(x, "x", 0)
-    need = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x)) + _WHEEL_TABLE_BYTES
-    _reserve(need, f"counting lists for x = {x} and wheel tables")
+    if _takes_dp(x, z):
+        need = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x)) + _WHEEL_TABLE_BYTES
+        _reserve(need, f"counting lists for x = {x} and wheel tables")
+    else:
+        _reserve(_WHEEL_TABLE_BYTES, "wheel tables")
 
 
 def check_sieve_pass(x: int) -> None:
@@ -386,16 +404,14 @@ def survivor_count(x: int, z: int, table: PrimeTable) -> int:
     (_lpf_recursion) makes at most 2^m calls, no more than the r + 1 entries
     the counting DP (_legendre_dp) builds before its first round; else the DP
     counts.  Both are exact evaluations of Legendre's phi(x, pi(z - 1)), and
-    at every x lpf_census is a route independent of either.  The DP's lists
-    are reserved (check_survivor_count) on both routes, so whether x is
-    refused does not depend on z."""
+    at every x lpf_census is a route independent of either.  The route is
+    chosen by _takes_dp, the rule check_survivor_count reserves by, so the
+    DP's lists are reserved only when the DP counts."""
     _check_sifting(z, table)
-    check_survivor_count(x)
+    check_survivor_count(x, z)
     if not x:
         return 0
-    r = isqrt(x)
-    m = bisect_right(table.primes, min(z - 1, r)) - len(WHEEL_PRIMES)
-    if m >= r.bit_length():  # 2^m > r
+    if _takes_dp(x, z):
         return _legendre_dp(x, z, table)
     primes = table.primes[: bisect_right(table.primes, min(z - 1, x))]
     return _lpf_recursion(x, primes, min(len(primes), len(WHEEL_PRIMES)))

@@ -164,9 +164,24 @@ def test_sweep_refuses_its_largest_x_before_any_point(capsys, monkeypatch, x, en
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     _no_prime_table(monkeypatch)
-    code, out, err = run_cli(capsys, "sweep", "--x", x, "--z", "18", "--no-moebius-check")
+    # at z = sqrt(x) the 10^8 point takes the counting DP, whose lists the budget refuses
+    code, out, err = run_cli(capsys, "sweep", "--x", x, "--z", "sqrt", "--no-moebius-check")
     assert (code, out) == (3, "")
     assert message in err
+
+
+def test_a_sweep_point_on_the_recursion_route_reserves_no_dp_lists(capsys, monkeypatch):
+    # at z = 18 the 10^8 point takes the recursion, which holds no list: only
+    # the wheel tables are reserved, well inside the budget
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "500000")
+    code, out, _ = run_cli(capsys, "sweep", "--x", "1000,100000000", "--z", "18")
+    assert code == 0
+    assert [row["flags"] for row in read_csv(out)] == ["moebius=ok", "moebius=ok"]
+    monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "120119")  # the wheel tables' 120120 bytes
+    _no_prime_table(monkeypatch)
+    code, out, err = run_cli(capsys, "sweep", "--x", "1000,100000000", "--z", "18")
+    assert (code, out) == (3, "")
+    assert "resource cap: wheel tables would take about 120120 bytes, budget is 120119" in err
 
 
 @pytest.mark.parametrize(
@@ -228,17 +243,26 @@ def test_sweep_config_switch_takes_only_a_boolean(tmp_path, capsys, monkeypatch)
     ids=lambda argv: argv[0],
 )
 def test_negative_max_pi_z_flag_exits_2_before_any_work(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--max-pi-z", "-1"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --max-pi-z: expected an integer >= 0, got '-1'" in captured.err
+    # the Möbius cap is the constant moebius.MAX_PI_Z: no subcommand has the
+    # flag, so any value of it is an argument error
+    for value in ("-1", "5"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--max-pi-z", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --max-pi-z {value}" in captured.err
 
 
 def test_negative_max_pi_z_config_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
-    err = _config_refusal(tmp_path, capsys, monkeypatch, "max_pi_z = -1")
-    assert "argument --max-pi-z: expected an integer >= 0, got '-1'" in err
+    # nor is it a config key, whatever its value
+    _no_prime_table(monkeypatch)
+    cfg = tmp_path / "sweep.cfg"
+    for value in ("-1", "5"):
+        cfg.write_text(f"x = 1000\nz = 10\nmax_pi_z = {value}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"{cfg}:3: unknown config key 'max_pi_z'" in err
 
 
 def test_verify_identities_small(capsys):
@@ -297,20 +321,18 @@ def test_blowup_probe(capsys):
 
 
 def test_blowup_probe_cap_exit(capsys):
-    code, out, _ = run_cli(capsys, "blowup-probe", "--z-max", "40", "--x", "1000",
-                           "--max-pi-z", "5")
+    code, out, _ = run_cli(capsys, "blowup-probe", "--z-max", "54", "--x", "1000")
     assert code == 0
     rows = read_csv(out)
     assert any(r["status"] == "cap" and r["wall_time_s"] == "" for r in rows)
 
 
 def test_blowup_probe_max_pi_z_binds_past_fifteen_primes(capsys):
-    code, out, _ = run_cli(capsys, "blowup-probe", "--z-max", "60", "--x", "1000",
-                           "--max-pi-z", "16")
+    code, out, _ = run_cli(capsys, "blowup-probe", "--z-max", "60", "--x", "1000")
     assert code == 0
     status = {int(r["z"]): r["status"] for r in read_csv(out)}
-    # 16 sifting primes for z = 54..59, 17 at z = 60
-    assert [status[z] for z in range(53, 61)] == ["ok"] * 7 + ["cap"]
+    # 15 sifting primes for z = 48..53, 16 at z = 54..59 and 17 at z = 60
+    assert [status[z] for z in range(48, 61)] == ["ok"] * 6 + ["cap"] * 7
 
 
 def test_density_table_cmd(capsys):
@@ -423,10 +445,11 @@ def test_memory_budget_env_var(capsys, monkeypatch):
 
 
 def test_memory_budget_binds_on_the_counting_route(capsys, monkeypatch):
-    # 4 (10^4 + 1) slots and ints of 36 bytes: 1.4 MB against a 500 kB budget
+    # at z = sqrt(x) the DP counts: 4 (10^4 + 1) slots and ints of 36 bytes,
+    # 1.4 MB against a 500 kB budget
     monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "500000")
     code, out, err = run_cli(
-        capsys, "sweep", "--x", "100000000", "--z", "18", "--no-moebius-check"
+        capsys, "sweep", "--x", "100000000", "--z", "sqrt", "--no-moebius-check"
     )
     assert code == 3
     assert "resource cap" in err
@@ -474,14 +497,14 @@ def test_the_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
     assert "frac=" not in row["flags"]
 
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("x = 100\nz = 5\nformat = json\nmoebius_check = off\nmax_pi_z = 3\n")
+    cfg.write_text("x = 100\nz = 5\nformat = json\nmoebius_check = off\n")
     code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 0
     row = json.loads(out)[0]
     assert (row["x"], row["flags"]) == (100, "")
     code, out, _ = run_cli(capsys, "sweep", "--x", "16")
     assert code == 0
-    row = read_csv(out)[0]  # csv, z = sqrt(16), and the Möbius check under the default cap
+    row = read_csv(out)[0]  # csv, z = sqrt(16), and the Möbius check on
     assert (row["x"], row["z"], row["flags"]) == ("16", "4", "moebius=ok")
 
 
@@ -560,10 +583,10 @@ def test_density_table_pins_the_mmap_threshold(argv, mapped):
 
 def test_load_config_file_parses_comments(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("# comment\nx = pow2:4..8   # trailing\n\nmax-pi-z = 10\n"
-                   "frac = Yes\nmoebius_check = off\nout = true\n")
+    cfg.write_text("# comment\nx = pow2:4..8   # trailing\n\nformat = json\n"
+                   "frac = Yes\nmoebius-check = off\nout = true\n")
     assert load_config_file(str(cfg)) == [
-        "--x=pow2:4..8", "--max-pi-z=10", "--frac", "--no-moebius-check", "--out=true"
+        "--x=pow2:4..8", "--format=json", "--frac", "--no-moebius-check", "--out=true"
     ]
 
 
@@ -596,25 +619,12 @@ def test_verify_identities_draws_are_pinned():
     # stdout prints counts only, which do not depend on the rng draws
     lines = [
         (f"{family}\t{where}", holds)
-        for family, checks in cli._identity_families(600, Namespace(seed=5, max_pi_z=15))
+        for family, checks in cli._identity_families(600, Namespace(seed=5))
         for where, holds in checks
     ]
     assert len(lines) == 903 and all(holds for _, holds in lines)
     digest = hashlib.sha256("\n".join(line for line, _ in lines).encode()).hexdigest()
     assert digest == "02c519deb9bcebe106b5ca333d7e5bd2ffac2055ae52b431703f71fae8b8bd0b"
-
-
-@pytest.mark.parametrize("max_pi_z, code", [("5", 3), ("9", 3), ("10", 0)])
-def test_verify_refuses_a_small_max_pi_z_before_any_check(capsys, max_pi_z, code):
-    # the Legendre family enumerates the 10 primes below min(31, limit + 1)
-    result, out, err = run_cli(capsys, "verify-identities", "--limit", "100",
-                               "--max-pi-z", max_pi_z)
-    assert result == code
-    if code == 3:
-        assert out == ""
-        assert f"10 sifting primes would enumerate 2^10 = 1024 divisors (cap {max_pi_z})" in err
-    else:
-        assert out.endswith("all identity families hold exactly\n")
 
 
 def _off_by_one(real):

@@ -59,11 +59,14 @@ def test_evaluate_point_partition_coherence(table_1k):
 
 
 def test_evaluate_point_cap_markers(table_1k):
-    # z = 100 needs 25 sifting primes; force both optional routes over the cap
-    rec = evaluate_point(10_000, 30, table_1k, frac_remainder=True, max_pi_z=3)
+    # the remainder enumerates the primes below the largest sifting prime: 15
+    # at z = 59, 16 at z = 60.  The Möbius check runs only to z = 31, 10
+    # primes, so it never meets the cap.
+    rec = evaluate_point(1000, 59, table_1k, frac_remainder=True)
+    assert rec.flags == ("frac=ok",)
+    rec = evaluate_point(1000, 60, table_1k, frac_remainder=True)
     assert rec.frac_remainder is None
-    assert "frac=cap" in rec.flags
-    assert "moebius=cap" in rec.flags
+    assert rec.flags == ("frac=cap",)
     assert rec.b3_bound is not None  # no cap applies to the prime-indexed bound
 
 
@@ -189,8 +192,8 @@ def test_blowup_probe_doubles_exactly_at_primes(table_1k):
 
 
 def test_blowup_probe_records_cap_rows(table_1k):
-    rows = legendre_blowup_probe(31, 1000, table_1k, max_pi_z=4)
+    rows = legendre_blowup_probe(54, 1000, table_1k)
     capped = [r for r in rows if r.status == "cap"]
     assert capped and all(r.wall_time is None for r in capped)
-    assert capped[0].z == 12  # five sifting primes first needed at z = 12
-    assert capped[0].term_count == 32
+    assert capped[0].z == 54  # sixteen sifting primes first needed at z = 54
+    assert capped[0].term_count == 65536

@@ -114,4 +114,9 @@ def test_halfway_cases_round_to_even():
     prec=st.sampled_from([1, 2, 30, WORKING_PREC]),
 )
 def test_fraction_to_decimal_matches_decimal_division(n, d, prec):
-    _same_as_division(Fraction(n, d), prec)
+    q = Fraction(n, d)
+    _same_as_division(q, prec)
+    # symmetric in sign, exponent included: report.error_row lowers |error| by copy_abs
+    assert fraction_to_decimal(q, prec).copy_abs().as_tuple() == (
+        fraction_to_decimal(abs(q), prec).as_tuple()
+    )

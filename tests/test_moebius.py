@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from sievelab.errors import CapExceededError
 from sievelab.moebius import (
+    MAX_PI_Z,
     _signed_subset_products,
     check_enumeration,
     frac_bound_b3,
@@ -16,7 +17,13 @@ from sievelab.moebius import (
     legendre_sum,
     lpf_count_via_moebius,
 )
-from sievelab.sieve import build_prime_table, count_lpf, prime_count, survivor_count
+from sievelab.sieve import (
+    build_prime_table,
+    count_lpf,
+    prime_count,
+    sifting_primes,
+    survivor_count,
+)
 
 from sievelab.densities import mertens_product
 
@@ -47,8 +54,13 @@ def test_enumerate_divisors_term_count_doubles():
 
 
 def test_max_pi_z_binds_past_fifteen_primes(table_1k):
-    # 17 sifting primes: divisors past 2^64 are plain Python ints
-    assert legendre_sum(1000, 60, table_1k, max_pi_z=17) == survivor_count(1000, 60, table_1k)
+    # the 15 sifting primes below 53 are enumerated, the 16 below 54 and the
+    # 17 below 60 are not
+    assert MAX_PI_Z == 15
+    assert legendre_sum(1000, 53, table_1k) == survivor_count(1000, 53, table_1k)
+    for z in (54, 60):
+        with pytest.raises(CapExceededError, match=f"\\(cap {MAX_PI_Z}\\)"):
+            legendre_sum(1000, z, table_1k)
 
 
 def test_default_cap_refuses_sixteen_primes(table_1k):
@@ -70,14 +82,14 @@ def test_legendre_sum_examples(table_1k):
 
 
 def test_legendre_sum_cap_error_names_term_count(table_1k):
-    with pytest.raises(CapExceededError, match="2\\^4 = 16"):
-        legendre_sum(100, 8, table_1k, max_pi_z=3)
+    with pytest.raises(CapExceededError, match="2\\^16 = 65536"):
+        check_enumeration(sifting_primes(table_1k, 54))
 
 
 def test_cap_error_names_a_term_count_past_the_digit_limit():
     # 2^14285 has 4301 digits: the refusal is still the cap's, not str()'s ValueError
     with pytest.raises(CapExceededError) as exc:
-        check_enumeration(tuple(range(14285)), 15)
+        check_enumeration(tuple(range(14285)))
     with oracles.int_digit_limit_lifted():
         expected = f"14285 sifting primes would enumerate 2^14285 = {1 << 14285} divisors (cap 15)"
     assert str(exc.value) == expected

@@ -61,7 +61,7 @@ def _no_work(*args, **kwargs):
 _ROUTE_REFUSALS = {
     "survivor_count_cap": (None, lambda t: sieve.survivor_count(1 << 49, 5, t),
                            ResourceLimitError, "x = 562949953421312 exceeds the 2^48 sieve cap"),
-    "survivor_count_dp_lists": ("500000", lambda t: sieve.survivor_count(10**8, 5, t),
+    "survivor_count_dp_lists": ("500000", lambda t: sieve.survivor_count(10**8, 1000, t),
                                 ResourceLimitError, "counting lists for x = 100000000"),
     "survivor_count_reach": (None, lambda t: sieve.survivor_count(100, 1002, t),
                              ValueError, "sifting level 1002 needs a table to 1001, limit is 1000"),
@@ -69,7 +69,7 @@ _ROUTE_REFUSALS = {
                                   ValueError, "x must be >= 0, got -1"),
     "count_lpf_cap": (None, lambda t: sieve.count_lpf(1 << 49, 3, t),
                       ResourceLimitError, "x = 562949953421312 exceeds the 2^48 sieve cap"),
-    "count_lpf_dp_lists": ("500000", lambda t: sieve.count_lpf(3 * 10**8, 3, t),
+    "count_lpf_dp_lists": ("500000", lambda t: sieve.count_lpf(101 * 10**8, 101, t),
                            ResourceLimitError, "counting lists for x = 100000000"),
     "count_lpf_negative_x": (None, lambda t: sieve.count_lpf(-10, 3, t),
                              ValueError, "x must be >= 0, got -10"),

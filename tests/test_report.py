@@ -111,15 +111,15 @@ def test_unknown_format_rejected(records):
 
 
 # Each row kind and its columns, from the records of a 1000-wide prime table.
-# With max_pi_z = 5 the sweep has ok and cap rows for both cross-checks, and
-# the probe has cap rows without a wall time.
+# The sweep has Möbius-checked rows and remainder rows at and past the cap
+# (z = 59 and 60), and the probe has cap rows without a wall time (z = 54).
 _ROW_KINDS = {
     "sweep": (lambda table: [
-        error_row(r) for r in run_sweep([(16, 4), (100, 10), (1000, 31), (5000, 60)], table,
-                                        frac_remainder=True, max_pi_z=5)
+        error_row(r) for r in run_sweep([(16, 4), (100, 10), (1000, 31), (1000, 59), (1000, 60)],
+                                        table, frac_remainder=True)
     ], ERROR_COLUMNS),
     "blowup-probe": (lambda table: [
-        probe_row(r) for r in legendre_blowup_probe(40, 1000, table, max_pi_z=5)
+        probe_row(r) for r in legendre_blowup_probe(54, 1000, table)
     ], PROBE_COLUMNS),
     "chebyshev": (lambda table: [
         chebyshev_row(chebyshev_check(x, table)) for x in (2, 4, 16, 100, 997, 1000)
@@ -135,7 +135,7 @@ def test_csv_matches_the_csv_module(table_1k, kind):
     rows = build(table_1k)
     if kind == "sweep":
         flags = {f for row in rows for f in row["flags"].split(";")}
-        assert {"frac=ok", "frac=cap", "moebius=ok", "moebius=cap"} <= flags
+        assert {"frac=ok", "frac=cap", "moebius=ok"} <= flags
         assert any(row["frac_remainder_exact"] is None for row in rows)
     if kind == "blowup-probe":
         assert any(row["wall_time_s"] is None for row in rows)

@@ -257,6 +257,19 @@ def test_survivor_count_routes_agree_at_the_threshold_and_at_1e8(table_1m, monke
         monkeypatch.undo()
 
 
+def test_the_route_rule_reads_no_prime_table(table_1k):
+    # _takes_dp holds the first 31 primes: six wheel primes and one for each
+    # bit of isqrt(x) <= 2^24.  At every bit count up to the 2^48 cap, on both
+    # sides of the prime it reads, it equals the rule counted from a table.
+    assert sieve._FIRST_PRIMES == table_1k.primes[:31]
+    for x in (4**m + d for m in range(25) for d in (-1, 0)):  # 4^24 = MAX_SIEVE_X
+        r = isqrt(x)
+        p = table_1k.primes[len(sieve.WHEEL_PRIMES) + r.bit_length() - 1]
+        for z in (2, p, p + 1, p + 2, r, r + 1, 1001):
+            m = bisect_right(table_1k.primes, min(z - 1, r)) - len(sieve.WHEEL_PRIMES)
+            assert sieve._takes_dp(x, z) == (m > 0 and 2**m > r), (x, z)
+
+
 def test_x_of_0_has_no_survivors_and_no_class(table_1k):
     # the DP's domain is x >= 0; count_lpf reaches x // p = 0 whenever x < p
     assert survivor_count(0, 5, table_1k) == 0
@@ -283,18 +296,18 @@ def test_dp_lists_are_held_to_the_memory_budget(table_1k, monkeypatch):
     monkeypatch.delenv("SIEVELAB_MEMORY_BUDGET", raising=False)
     # 4 (2^24 + 1) slots and ints of 40 bytes: 2.7 GB against the 1 GiB default
     with pytest.raises(ResourceLimitError, match="counting lists"):
-        survivor_count(1 << 48, 3, table_1k)
+        survivor_count(1 << 48, 1000, table_1k)
 
 
 def test_the_dp_budget_covers_the_wheel_tables(table_1k, monkeypatch):
-    x = 2**20
-    expected = lpf_census(x, 29, table_1k).survivors
+    x = 2**20  # at z = 1000 the DP counts
+    expected = lpf_census(x, 1000, table_1k).survivors
     lists = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x))
     monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", str(lists + sieve._WHEEL_TABLE_BYTES - 1))
     with pytest.raises(ResourceLimitError, match="wheel tables"):
-        survivor_count(x, 29, table_1k)
+        survivor_count(x, 1000, table_1k)
     monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", str(lists + sieve._WHEEL_TABLE_BYTES))
-    assert survivor_count(x, 29, table_1k) == expected
+    assert survivor_count(x, 1000, table_1k) == expected
 
 
 def _no_route(*args):
