@@ -12,7 +12,7 @@ import random
 import sys
 from contextlib import nullcontext
 from functools import cache
-from math import isqrt, log
+from math import isqrt
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -20,6 +20,7 @@ from . import identities, report
 from .densities import build_density_table
 from .errorlab import chebyshev_check, check_point, legendre_blowup_probe, run_sweep
 from .errors import CapExceededError, ResourceLimitError
+from .highprec import ln_decimal
 from .sieve import build_prime_table, check_sieve_pass, check_survivor_count
 from .sieve import prime_counts, sifting_primes
 
@@ -54,7 +55,7 @@ def parse_z_spec(spec: str) -> Callable[[int], int]:
     if spec == "sqrt":
         return lambda x: max(2, isqrt(x))
     if spec == "logx":
-        return lambda x: max(2, int(log(x)))
+        return lambda x: max(2, int(ln_decimal(x)))
     z = int(spec.removeprefix("fixed:"))
     return lambda x: z
 

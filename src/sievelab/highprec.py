@@ -17,6 +17,10 @@ sticky half unit past its last digit, which rounds as the remainder would
 to a Decimal, and the result equals Decimal(n) / Decimal(d) in a
 `prec`-digit context, exponent included: 1/4 gives 0.25 and 6/2 gives 3.
 
+ln_decimal takes ln n in integer fixed point, by square roots and the atanh
+series, and lets decimal round the two ends of its error interval; where
+they round apart it takes decimal's own ln, to the same Decimal.
+
 Reports render from the 60-digit value rounded again to 30 digits rather
 than from the fraction rounded once; the two differ where the 60-digit value
 lands on a 30-digit tie, and the report bytes are defined by the double
@@ -33,6 +37,7 @@ from decimal import (
     InvalidOperation, Overflow, localcontext,
 )
 from fractions import Fraction
+from math import isqrt
 
 WORKING_PREC = 60
 RENDER_DIGITS = 30
@@ -51,6 +56,13 @@ _RENDER = Context(prec=RENDER_DIGITS)
 _STR_BITS = 13_000
 # The split converts pieces of at most this many bits through Decimal(int).
 _PIECE_BITS = 1024
+# ln_decimal's fixed point, 2^-240 (about 10^-72), and ln 2 in it, rounded.
+_LN_BITS = 240
+_LN2 = 1224685061431752149387114016819916847747660333428801675508466606222838699
+# A bound on ln_decimal's error in those units, besides the e/2 of e * _LN2:
+# its docstring derives 15359 < 2^14, and 2^20 keeps a 64-fold margin.  The
+# largest error seen is 5029, over n <= 8000 and 3000 drawn n < 2^48.
+_LN_ERR = 1 << 20
 
 
 def fraction_to_decimal(q: Fraction, prec: int = WORKING_PREC) -> Decimal:
@@ -113,9 +125,45 @@ def int_to_str(n: int) -> str:
 
 
 def ln_decimal(n: int) -> Decimal:
-    """Natural logarithm of a positive integer at WORKING_PREC significant digits."""
+    """Natural logarithm of a positive integer, correctly rounded to
+    WORKING_PREC significant digits: Decimal(n).ln(WORKING), exponent included.
+
+    ln n is approximated in units of 2^-_LN_BITS.  With n = m 2^e and m in
+    [1, 2), eight integer square roots take m to y < 2^(1/256), and
+    ln m = 512 atanh((y - 1) / (y + 1)) by its series, whose ratio
+    (y - 1) / (y + 1) < 2^-9.5 leaves at most 13 nonzero terms; e ln 2 is
+    added from _LN2.  Every floor makes the approximation low: the cut of m
+    when e > _LN_BITS by less than 1 unit, the roots by less than
+    2 + 4 + ... + 256 = 510, and the series by less than 512 times 29 (1 for
+    the ratio, 2 for each term, 2 for the tail), 14848; _LN2 is off by at
+    most half a unit, e/2 in all.  So ln n lies within _LN_ERR + e units of
+    the approximation, and where both ends of that interval round to the
+    same WORKING_PREC digits, so does ln n, which is irrational for n > 1
+    and so never a tie (Ziv 1991).  Otherwise, about once in 2^20 calls
+    and always at n = 1, decimal's ln is taken.
+    """
     if n <= 0:
         raise ValueError(f"ln requires a positive argument, got {n}")
+    e = n.bit_length() - 1
+    m = n << _LN_BITS >> e
+    for _ in range(8):
+        m = isqrt(m << _LN_BITS)
+    one = 1 << _LN_BITS
+    ratio = ((m - one) << _LN_BITS) // (m + one)
+    square = ratio * ratio >> _LN_BITS
+    atanh = power = ratio
+    k = 1
+    while power:
+        power = power * square >> _LN_BITS
+        k += 2
+        atanh += power // k
+    approx = (atanh << 9) + e * _LN2
+    err = _LN_ERR + e
+    low = WORKING.divide(approx - err, one)
+    high = WORKING.divide(approx + err, one)
+    # the same digits and exponent: an exact quotient of fewer digits differs
+    if low.compare_total(high) == 0:
+        return low
     return Decimal(n).ln(WORKING)
 
 

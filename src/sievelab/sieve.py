@@ -29,11 +29,13 @@ sifting primes after the wheel up to r = isqrt(x), it makes at most 2^m
 calls and holds no list.  _legendre_dp is Lucy Hedgehog's dynamic programme
 over the O(sqrt x) values x // k: it builds r + 1 entries before its first
 round, and of the x // k it holds only those with k prime to P_a, 5760 in
-each 30030, the only ones it reads.  Its rounds end at the cube root of x:
-each later sifting prime up to sqrt(x) adds one term read from the last
-round's values (Meissel's observation).  survivor_count takes the recursion
-when 2^m <= r, a bound on its work, and the DP otherwise; _takes_dp states
-that rule from (x, z) alone, with no prime table.
+each 30030, the only ones it reads.  While its rounds change the values at
+v <= r, they are an Eratosthenes pass over [1, r] by bytearray slices.  Its
+rounds end at the cube root of x: each later sifting prime up to sqrt(x)
+adds one term read from the last round's values (Meissel's observation).
+survivor_count takes the recursion when 2^m <= r, a bound on its work, and
+the DP otherwise; _takes_dp states that rule from (x, z) alone, with no
+prime table.
 
 Each route's whole contract on x is one public check, check_survivor_count
 (on x and z, which choose the counting route) or check_sieve_pass: the route
@@ -204,13 +206,14 @@ def check_survivor_count(x: int, z: int) -> None:
     past the memory budget: the wheel tables, and the DP's lists for x when
     (x, z) takes the DP.
 
-    The DP holds a list of r + 1 ints, r = isqrt(x), two lists of the k it
-    keeps and their values (about r / 5 each with six wheel primes), and while
-    a range is rebuilt its new ints and slices.  4 (r + 1) list slots and ints
-    no larger than x are reserved; tracemalloc measured a peak of 0.81, 1.76
-    and 1.86 of them at x = 2^19, 10^8 and 10^9, z = isqrt(x) + 1.  The wheel
-    tables stay cached once built, and are reserved on both routes so that
-    the budget covers all the route holds.  The recursion holds no list.
+    The DP holds a list of r + 1 ints, r = isqrt(x), and r bytes of flags,
+    two lists of the k it keeps and their values (about r / 5 each with six
+    wheel primes), and while a range is rebuilt its new ints and slices.
+    4 (r + 1) list slots and ints no larger than x are reserved; tracemalloc
+    measured a peak of 0.85, 1.78 and 1.85 of them at x = 2^19, 10^8 and
+    10^9, z = isqrt(x) + 1.  The wheel tables stay cached once built, and
+    are reserved on both routes so that the budget covers all the route
+    holds.  The recursion holds no list.
     """
     _check_range(x, "x", 0)
     if _takes_dp(x, z):
@@ -307,7 +310,9 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     form, so S(v) starts at phi(v, w) - 1 + #{the first w wheel primes <= v},
     phi from _wheel_phi.  Sifting a later p removes p*m for every m in
     [p, v // p] with no prime factor below p, S(v // p) - S(p - 1) of them,
-    from each S(v) with v >= p^2.
+    from each S(v) with v >= p^2.  On small, while p^2 <= r, the rounds are
+    an Eratosthenes pass over [1, r]: one bytearray slice removes the v <= r
+    with least prime factor p, and small is summed again from p^2 on.
 
     large holds S(x // k) only at the k prime to P_w, the product of the
     first w wheel primes, kept in ks ascending: k sits at index phi(k, w) - 1.
@@ -317,14 +322,13 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     other k, 81% at w = 6, need not be held (Lehmer 1959; Lagarias, Miller
     and Odlyzko 1985).
 
-    The rounds are made for the later p with p^3 <= x.  Like an in-place
-    pass over large by ascending k, then small by descending v, every update
-    of a round reads values of the previous round, so each range is rebuilt
-    from slices of the old lists.  Let p_a be the last prime sifted, by a
-    round or the wheel.  Each later p lowers S(x) by one term, S(x // p) - i:
-    x // p < p_{a+1}^2, as p >= p_{a+1} and p_{a+1}^3 > x, and below
-    p_{a+1}^2 every composite has a factor <= p_a, so S(x // p) is already
-    pi(x // p) and no later round would change it; for the same reason
+    The rounds are made for the later p with p^3 <= x.  Every update of a
+    round reads values of the previous round: large is rebuilt from slices
+    of the old lists before small changes.  Let p_a be the last prime
+    sifted, by a round or the wheel.  Each later p lowers S(x) by one term,
+    S(x // p) - i: x // p < p_{a+1}^2, as p >= p_{a+1} and p_{a+1}^3 > x,
+    and below p_{a+1}^2 every composite has a factor <= p_a, so S(x // p) is
+    already pi(x // p) and no later round would change it; for the same reason
     S(p - 1) = pi(p - 1) = i.  At the end S(x) counts the primes <= x and
     the composites with no factor below z, so the survivors are
     1 + S(x) - pi(min(z - 1, x)).  Its memory is checked by check_survivor_count.
@@ -335,12 +339,11 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     period, phi_period, phi, flags = _wheel_phi(w)
     # S(v) = phi(v, w) + w - 1 for v at or above the w-th wheel prime, and
     # only such v are read: large holds x // k >= r, and a later round p reads
-    # small from p - 1 on.  Below it small is left too high by the wheel
-    # primes above v.
+    # small from p - 1 on.  alive[v - 1] is 1 at the v <= r prime to P_w that
+    # no round has removed, so small is w - 1 plus its running sum.
     c = w - 1
-    small = [
-        q * phi_period + c + f for q in range(r // period + 1) for f in phi[: r + 1 - q * period]
-    ]
+    alive = flags * (r // period) + flags[: r % period]
+    small = list(accumulate(alive, initial=c))
     ks = list(compress(range(1, r + 1), cycle(flags)))
     large = [(v // period) * phi_period + phi[v % period] + c for k in ks for v in (x // k,)]
     # the rounds: the primes after the wheel with p^3 <= x, so p_a is primes[end - 1]
@@ -359,11 +362,10 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
             a - small[xp // k] + below for k, a in zip(ks[i_mid:i_max], large[i_mid:i_max])
         ]
         if p * p <= r:
-            # the lane from j in [p^2, p^2 + p) holds v = j, j + p, ..., whose
-            # v // p run p, p + 1, ...; drop[i] is S(p + i) - S(p - 1)
-            drop = [s - below for s in small[p : r // p + 1]]
-            for j in range(p * p, p * p + p):
-                small[j::p] = [s - d for s, d in zip(small[j::p], drop)]
+            # the multiples of p from p^2 on still alive have least prime factor p
+            alive[p * p - 1 :: p] = bytes(len(range(p * p, r + 1, p)))
+            del small[p * p :]
+            small += accumulate(islice(alive, p * p - 1, None), initial=small.pop())
     # the tail: pi(x // q) - pi(q - 1) for each later q
     tail = sum(large[q // period * phi_period + phi[q % period] - 1] for q in primes[end:])
     tail -= sum(range(end, len(primes)))

@@ -116,6 +116,21 @@ def fraction_to_decimal(q: Fraction, prec: int) -> Decimal:
         return Decimal(q.numerator) / Decimal(q.denominator)
 
 
+def ln(n: int, prec: int) -> Decimal:
+    """ln n rounded to `prec` significant digits by Decimal.ln."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(n).ln()
+
+
+def exp_neighbours(k: int) -> tuple[int, int]:
+    """(floor(e^k), ceil(e^k)) for k >= 1, from e^k at 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        below = int(Decimal(k).exp())
+    return below, below + 1
+
+
 def chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal) -> bool:
     """The harmonic chain's order by exact comparison: inv > harm as
     Fractions (>= at z = 2), then harm at 60 digits against log z."""

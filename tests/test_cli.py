@@ -43,6 +43,11 @@ def test_parse_z_spec():
     sqrt, logx = parse_z_spec("sqrt"), parse_z_spec("logx")
     assert [sqrt(x) for x in (2, 3, 16, 100, 10**6)] == [2, 2, 4, 10, 1000]
     assert [logx(x) for x in (2, 100, 10**6)] == [2, 4, 13]
+    # floor(ln x) on either side of each e^k; a float log gave 33 at
+    # floor(e^33) = 214643579785916, whose ln is 32.99999999999999969...
+    for k in range(1, 34):
+        below, above = oracles.exp_neighbours(k)
+        assert (logx(below), logx(above)) == (max(2, k - 1), max(2, k)), k
     assert parse_z_spec("fixed:31")(1000) == 31
     assert parse_z_spec("4")(16) == 4
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import random
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sievelab import highprec
 from sievelab.densities import build_density_table
 from sievelab.highprec import (
     _PIECE_BITS, _STR_BITS, WORKING_PREC, decimal_quotient, fraction_to_decimal, int_to_str,
-    render,
+    ln_decimal, render,
 )
 from sievelab.sieve import build_prime_table
 
@@ -120,3 +121,41 @@ def test_fraction_to_decimal_matches_decimal_division(n, d, prec):
     assert fraction_to_decimal(q, prec).copy_abs().as_tuple() == (
         fraction_to_decimal(abs(q), prec).as_tuple()
     )
+
+
+def _same_as_ln(n: int) -> None:
+    got, expected = ln_decimal(n), oracles.ln(n, WORKING_PREC)
+    assert (str(got), got.as_tuple()) == (str(expected), expected.as_tuple()), n
+
+
+def test_ln_decimal_is_decimals_ln():
+    # every n to 20000, powers of 2 and 10 and their neighbours, where the
+    # fixed point's mantissa is 1 or next to it, and the integers next to e^k
+    cases = list(range(1, 20001))
+    cases += [2**k + d for k in range(49) for d in (-1, 0, 1)]
+    cases += [10**k + d for k in range(15) for d in (-1, 0, 1)]
+    cases += [n for k in range(1, 34) for n in oracles.exp_neighbours(k)]
+    for n in cases:
+        if n > 0:
+            _same_as_ln(n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 2**48 - 1))
+def test_ln_decimal_is_decimals_ln_property(n):
+    _same_as_ln(n)
+
+
+def test_ln_decimal_falls_back_to_decimals_ln_where_the_roundings_differ(monkeypatch):
+    # an error bound of ten in value: the two ends of the interval round apart
+    monkeypatch.setattr(highprec, "_LN_ERR", 10 << highprec._LN_BITS)
+    for n in (1, 2, 3, 1000, 214643579785916, 2**48 - 1):
+        _same_as_ln(n)
+
+
+def test_the_fixed_point_ln_2_is_ln_2_rounded():
+    # in a 100-digit context: the default 28 digits would round the product
+    with localcontext() as ctx:
+        ctx.prec = 100
+        scaled = Decimal(2).ln() * 2**highprec._LN_BITS
+        assert highprec._LN2 == int(scaled.to_integral_value())

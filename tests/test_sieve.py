@@ -374,7 +374,10 @@ def test_legendre_dp_matches_the_every_k_dp_at_round_and_wheel_boundaries():
     # p^2 moves p between the recursion's calls and its one bisect_right, and
     # isqrt(x) = 2^m - 1 or 2^m with the first m primes after the wheel sifted
     # puts x on either side of survivor_count's choice between the routes.
+    # p^4 moves p in or out of the last round that removes integers from
+    # small, the values at v <= isqrt(x).
     cases = [(p**3 + d, z) for p in range(17, 48) for d in (-1, 0, 1) for z in (p, p + 1, 60)]
+    cases += [(p**4 + d, z) for p in range(17, 48) for d in (-1, 0, 1) for z in (p, p + 1, 60)]
     cases += [(p * p + d, z) for p in range(17, 48) for d in (-1, 0, 1) for z in (p, p + 1, 60)]
     after_wheel = _PI_TABLE.primes[len(sieve.WHEEL_PRIMES) :]
     for m in range(1, 16):
@@ -411,6 +414,22 @@ def test_the_wheel_reservation_covers_what_the_wheel_tables_hold():
     finally:
         tracemalloc.stop()
     assert peak <= sieve._WHEEL_TABLE_BYTES
+
+
+def test_the_dp_peaks_below_half_its_reservation():
+    # a round sums small again from p^2 on after truncating it, so the old
+    # tail is freed before the new one is made
+    x, z = 10**8, 10**4 + 1
+    table = build_prime_table(z)
+    sieve._wheel_phi(len(sieve.WHEEL_PRIMES))  # cached before, so not in the peak
+    reserved = 4 * (isqrt(x) + 1) * (8 + sys.getsizeof(x)) + sieve._WHEEL_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        _legendre_dp(x, z, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < reserved / 2
 
 
 @pytest.mark.parametrize(
