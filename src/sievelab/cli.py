@@ -21,7 +21,7 @@ from .densities import build_density_table
 from .errorlab import chebyshev_check, check_point, legendre_blowup_probe, run_sweep
 from .errors import CapExceededError, ResourceLimitError
 from .highprec import ln_decimal
-from .sieve import build_prime_table, check_sieve_pass, check_survivor_count
+from .sieve import MAX_SIEVE_X, build_prime_table, check_sieve_pass, check_survivor_count
 from .sieve import prime_counts, sifting_primes
 
 DEFAULT_SEED = 1729
@@ -44,6 +44,9 @@ def parse_x_spec(spec: str) -> list[int]:
                 raise ValueError(f"negative exponent in x spec {spec!r}")
             if hi < lo:
                 raise ValueError(f"empty range in x spec {spec!r}, {hi} < {lo}")
+            # a range past the cap is refused whole, before any power is built
+            if hi >= MAX_SIEVE_X.bit_length() or base**hi > MAX_SIEVE_X:
+                raise ResourceLimitError(f"x = {base}^{hi} exceeds the 2^48 sieve cap")
             return [base**k for k in range(lo, hi + 1)]
     return [int(tok) for tok in spec.split(",") if tok.strip()]
 

