@@ -36,16 +36,22 @@ def test_enumerate_divisors_two_primes():
     assert _signed_divisors((2, 3)) == ([1, 6], [2, 3])
 
 
-def test_signed_divisors_split_the_subset_enumeration_by_sign():
-    # every subset of the first k primes, by bit mask, split by the parity of its size
+def test_enumerate_divisors_rank_order_and_count():
+    # bit i of the rank selects primes[i]; each sign's divisors come in rank order
     primes = (2, 3, 5, 7, 11, 13, 17)
     for k in range(len(primes) + 1):
         by_sign = {1: [], -1: []}
         for mask in range(1 << k):
             chosen = [primes[i] for i in range(k) if mask >> i & 1]
             by_sign[(-1) ** len(chosen)].append(prod(chosen))
+        assert _signed_divisors(primes[:k]) == (by_sign[1], by_sign[-1]), k
+
+
+def test_enumerate_divisors_term_count_doubles():
+    primes = (2, 3, 5, 7, 11, 13)
+    for k in range(len(primes) + 1):
         plus, minus = _signed_divisors(primes[:k])
-        assert (sorted(plus), sorted(minus)) == (sorted(by_sign[1]), sorted(by_sign[-1])), k
+        assert len(plus) + len(minus) == 1 << k
         if k:
             assert len(plus) == len(minus) == 1 << (k - 1), k
 
