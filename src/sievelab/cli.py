@@ -39,7 +39,7 @@ def parse_x_spec(spec: str) -> list[int]:
             lo, sep, hi = spec[len(prefix):].partition("..")
             if not sep:
                 raise ValueError(f"bad range in x spec {spec!r}, expected a..b")
-            lo, hi = int(lo), int(hi)
+            lo, hi = int(lo), _capped(int, "the exponent of x")(hi)
             if lo < 0:
                 raise ValueError(f"negative exponent in x spec {spec!r}")
             if hi < lo:
@@ -48,7 +48,7 @@ def parse_x_spec(spec: str) -> list[int]:
             if hi >= MAX_SIEVE_X.bit_length() or base**hi > MAX_SIEVE_X:
                 raise ResourceLimitError(f"x = {base}^{hi} exceeds the 2^48 sieve cap")
             return [base**k for k in range(lo, hi + 1)]
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+    return [_capped(int, "x")(tok) for tok in spec.split(",") if tok.strip()]
 
 
 def parse_z_spec(spec: str) -> Callable[[int], int]:
@@ -72,6 +72,21 @@ def int_at_least(low: int) -> Callable[[str], int]:
         return value
     parse.__name__ = "int"  # argparse then says "invalid int value" for a non-integer
     return parse
+
+
+def _capped(parse: Callable[[str], int], what: str) -> Callable[[str], int]:
+    """`parse` for a value capped at 2^48.  A decimal too long for int() has more
+    digits than 2^48: it is refused as past the cap, exit 3, not by int(), exit 2."""
+    def capped(text: str) -> int:
+        try:
+            return parse(text)
+        except ValueError:
+            digits = text.strip().removeprefix("+").lstrip("0")
+            if len(digits) <= len(str(MAX_SIEVE_X)) or not digits.isdecimal():
+                raise
+        raise ResourceLimitError(f"{what} has {len(digits)} digits, past the 2^48 sieve cap")
+    capped.__name__ = "int"
+    return capped
 
 
 # The sweep flags a config file may set, by dest.  A switch's value true or
@@ -122,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the report here instead of stdout")
 
     p = sub.add_parser("verify-identities", help="run the exact-identity suite")
-    p.add_argument("--limit", type=int_at_least(0), default=10_000)
+    p.add_argument("--limit", type=_capped(int_at_least(0), "--limit"), default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(run=_cmd_verify)
 
@@ -141,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chebyshev", parents=[report_flags],
                        help="prime-counting inclusion checks")
-    p.add_argument("--x-max", type=int_at_least(2), default=1_000_000)
+    p.add_argument("--x-max", type=_capped(int_at_least(2), "--x-max"), default=1_000_000)
     p.add_argument("--grid", choices=("default", "decade"), default="default")
     p.add_argument("--random", type=int_at_least(0), default=0, metavar="N",
                    help="additional seeded random sample points")
@@ -150,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup-probe", parents=[report_flags],
                        help="term-count growth of the full Möbius sum")
-    p.add_argument("--z-max", type=int_at_least(2), default=31)
+    p.add_argument("--z-max", type=_capped(int_at_least(2), "--z-max"), default=31)
     p.add_argument("--x", type=int_at_least(1), default=1_000_000)
     p.set_defaults(run=_cmd_blowup)
 
     p = sub.add_parser("density-table", parents=[report_flags],
                        help="per-prime density and partial sums")
-    p.add_argument("--z", type=int_at_least(2), default=100)
+    p.add_argument("--z", type=_capped(int_at_least(2), "--z"), default=100)
     p.set_defaults(run=_cmd_density)
 
     return parser
@@ -309,8 +324,9 @@ def _cmd_density(args, out) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # in the try: a capped flag's type refuses a value past the cap here
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # once more with the file's flags ahead of the command line's
             # own, so that the command line's win as the last ones given

@@ -4,44 +4,34 @@ The classifier partitions 1..x into disjoint classes: for each sifting prime
 p < z, the integers whose least prime factor is p; everything left over
 (1, the primes in [z, x], and composites with no factor below z) survives.
 A sieve and a count compute it, and they share no counting arithmetic.
+Every composite n <= x has its least prime factor at or below sqrt(x), so a
+sifting prime above sqrt(x) owns one integer, itself, when it is <= x (the
+cut of Legendre's pi(x) = phi(x, pi(sqrt x)) + pi(sqrt x) - 1).  All three
+routes, lpf_census, survivor_count and prime_counts, sift only by the primes
+up to sqrt(x) and count each larger sifting prime up to x as one integer;
+lpf_census and survivor_count each count those on their own.
 
-lpf_census sieves.  It runs over fixed-size segments with bytearray slice
-marking, so the hot loops stay in C.  The layout is wheel-2: one segment
-byte per odd integer 2j + 1, so SEGMENT_SIZE counts buffer bytes and one
-segment covers about 2 * SEGMENT_SIZE integers.  The class of 2 is the
-x // 2 even integers and is counted in closed form; each odd prime marks its
-odd multiples with stride p in index space.  _sieve_pass is the one marking
-loop.  Its two callers sieve only the primes up to sqrt(x), which own every
-composite <= x: lpf_census counts each larger sifting prime up to x as one
-integer, and prime_counts reads pi at ascending x from one pass.
+lpf_census sieves, and prime_counts reads pi at ascending x from one sieve
+pass.  _sieve_pass is their one marking loop: fixed-size wheel-2 segments,
+one byte per odd integer, marked by bytearray slices so that the hot loops
+stay in C, with the class of 2 counted in closed form.
 
-survivor_count counts: it evaluates Legendre's phi(x, a), the integers in
-[1, x] with no factor among the first a = pi(z - 1) primes, by one of two
-exact routes.  Both start after the wheel primes 2, 3, 5, 7, 11 and 13:
-phi(v, a) is periodic modulo their product P_a, phi(v, a) = (v // P_a)
-phi(P_a) + phi(v mod P_a, a) (Lehmer 1959; Lagarias, Miller and Odlyzko
-1985), so one cached table of phi mod P_a <= 30030 replaces their rounds.
+survivor_count counts phi(x, a), the integers in [1, x] with no factor among
+the a sifting primes up to r = isqrt(x), by one of two exact routes that
+start after the wheel primes 2, 3, 5, 7, 11 and 13: phi(v, a) = (v // P_a)
+phi(P_a) + phi(v mod P_a, a) for their product P_a <= 30030 (Lehmer 1959;
+Lagarias, Miller and Odlyzko 1985), read from one cached table.
+_lpf_recursion removes each integer once, by its least prime factor, in at
+most 2^m calls for the m sifting primes after the wheel, and holds no list.
+_legendre_dp is Lucy Hedgehog's dynamic programme over the O(sqrt x) values
+x // k, held only at the k prime to P_a, with Meissel's tail past the cube
+root of x.  survivor_count takes the recursion when 2^m <= r, a bound on its
+work, and the DP otherwise; _takes_dp states that rule from (x, z) alone.
 
-_lpf_recursion removes each integer once, by its least prime factor:
-phi(v, j) = phi(v, w) - sum over w <= i < j of phi(v // p_i, i), the class
-of p_i (Legendre 1808), and for p_i^2 > v that class is p_i alone.  With m
-sifting primes after the wheel up to r = isqrt(x), it makes at most 2^m
-calls and holds no list.  _legendre_dp is Lucy Hedgehog's dynamic programme
-over the O(sqrt x) values x // k: it builds r + 1 entries before its first
-round, and of the x // k it holds only those with k prime to P_a, 5760 in
-each 30030, the only ones it reads.  While its rounds change the values at
-v <= r, they are an Eratosthenes pass over [1, r] by bytearray slices.  Its
-rounds end at the cube root of x: each later sifting prime up to sqrt(x)
-adds one term read from the last round's values (Meissel's observation).
-survivor_count takes the recursion when 2^m <= r, a bound on its work, and
-the DP otherwise; _takes_dp states that rule from (x, z) alone, with no
-prime table.
-
-Each route's whole contract on x is one public check, check_survivor_count
-(on x and z, which choose the counting route) or check_sieve_pass: the route
-makes it before any work, and a caller can make it before it builds a prime
-table.  The memory budget is the SIEVELAB_MEMORY_BUDGET environment variable,
-else 1 GiB.
+Each route's whole contract on x is one public check, made before any work
+and open to a caller before it builds a prime table: check_survivor_count
+(on x and z, which choose the counting route) or check_sieve_pass.  The
+memory budget is the SIEVELAB_MEMORY_BUDGET environment variable, else 1 GiB.
 """
 
 import os
@@ -260,16 +250,11 @@ def _sieve_pass(ends: list[int], primes: tuple[int, ...], want_counts: bool) -> 
         seg = bytearray(length)
         for i in range(1, len(primes)):
             p = primes[i]
-            # index of p itself, the first odd multiple never below p
-            h = p >> 1
-            if h >= lo:
-                if h >= hi:
-                    break  # primes ascend; no later prime has a multiple here
-                a = h - lo
-            else:
-                a = (h - lo) % p
-                if a >= length:
-                    continue
+            # from the index p >> 1 of p itself, the first odd multiple never
+            # below p; p >> 1 < p, so a segment that starts below it starts there
+            a = ((p >> 1) - lo) % p
+            if a >= length:
+                continue
             if want_counts:
                 lane = seg[a::p]
                 counts[i] += lane.count(0)
@@ -300,20 +285,20 @@ def _wheel_phi(a: int) -> tuple[int, int, array, bytearray]:
     return period, prod(p - 1 for p in WHEEL_PRIMES[:a]), phi, flags
 
 
-def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
-    """survivor_count(x, z, table) for x >= 1 by Lucy Hedgehog's programme.
+def _legendre_dp(x: int, primes: tuple[int, ...], w: int) -> int:
+    """phi(x, j), j = len(primes), for x >= 1 by Lucy Hedgehog's programme,
+    with `primes` and w as for _lpf_recursion: primes[i] = p, i = pi(p - 1).
 
     S(v) counts the integers in [2, v] that are prime or have no factor
     among the primes sifted so far, and is kept only at the values x // k:
     small[v] for v <= r = isqrt(x), and large for x // k with k <= r.  The
-    sifting primes are the p < z with p <= r; primes[i] = p, i = pi(p - 1).
-    The first w = min(#primes, 6), the wheel primes, are sifted in closed
-    form, so S(v) starts at phi(v, w) - 1 + #{the first w wheel primes <= v},
-    phi from _wheel_phi.  Sifting a later p removes p*m for every m in
-    [p, v // p] with no prime factor below p, S(v // p) - S(p - 1) of them,
-    from each S(v) with v >= p^2.  On small, while p^2 <= r, the rounds are
-    an Eratosthenes pass over [1, r]: one bytearray slice removes the v <= r
-    with least prime factor p, and small is summed again from p^2 on.
+    first w, the wheel primes, are sifted in closed form, so S(v) starts at
+    phi(v, w) - 1 + #{the first w wheel primes <= v}, phi from _wheel_phi.
+    Sifting a later p removes p*m for every m in [p, v // p] with no prime
+    factor below p, S(v // p) - S(p - 1) of them, from each S(v) with v >=
+    p^2.  On small, while p^2 <= r, the rounds are an Eratosthenes pass over
+    [1, r]: one bytearray slice removes the v <= r with least prime factor
+    p, and small is summed again from p^2 on.
 
     large holds S(x // k) only at the k prime to P_w, the product of the
     first w wheel primes, kept in ks ascending: k sits at index phi(k, w) - 1.
@@ -331,12 +316,10 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     and below p_{a+1}^2 every composite has a factor <= p_a, so S(x // p) is
     already pi(x // p) and no later round would change it; for the same reason
     S(p - 1) = pi(p - 1) = i.  At the end S(x) counts the primes <= x and
-    the composites with no factor below z, so the survivors are
-    1 + S(x) - pi(min(z - 1, x)).  Its memory is checked by check_survivor_count.
+    the composites with no factor among `primes`, all <= x, so phi(x, j) =
+    1 + S(x) - j.  Its memory is checked by check_survivor_count.
     """
     r = isqrt(x)
-    primes = table.primes[: bisect_right(table.primes, min(z - 1, r))]
-    w = min(len(primes), len(WHEEL_PRIMES))
     period, phi_period, phi, flags = _wheel_phi(w)
     # S(v) = phi(v, w) + w - 1 for v at or above the w-th wheel prime, and
     # only such v are read: large holds x // k >= r, and a later round p reads
@@ -370,20 +353,22 @@ def _legendre_dp(x: int, z: int, table: PrimeTable) -> int:
     # the tail: pi(x // q) - pi(q - 1) for each later q
     tail = sum(large[q // period * phi_period + phi[q % period] - 1] for q in primes[end:])
     tail -= sum(range(end, len(primes)))
-    return 1 + large[0] - tail - prime_count(min(z - 1, x), table)
+    return 1 + large[0] - tail - len(primes)
 
 
 def _lpf_recursion(x: int, primes: tuple[int, ...], w: int) -> int:
     """phi(x, j), j = len(primes): the integers in [1, x] with no factor among
-    `primes`, a prefix of the ascending primes whose first w are wheel primes.
+    `primes`, a prefix of the ascending primes, each <= isqrt(x), whose first
+    w = min(j, 6) are wheel primes (x = 0 has none, and counts 0).
+    survivor_count subtracts the sifting primes above isqrt(x).
 
     Each integer is removed once, by its least prime factor, so phi(v, j) =
     phi(v, w) - sum over w <= i < j of phi(v // p_i, i), the class of p_i
     (Legendre 1808), with phi(v, w) from _wheel_phi(w).  Once p_i^2 > v,
     v // p_i < p_i and the class of p_i is p_i alone if p_i <= v, so the rest
     of the sum is one bisect_right and no call is made.  A call is thus made
-    for a set of primes after the wheel, each <= isqrt(x): at most 2^m calls
-    for m such primes, and no list is held.
+    for a set of primes after the wheel: at most 2^m calls for m of them,
+    and no list is held.
     """
     period, phi_period, phi, _ = _wheel_phi(w)
 
@@ -402,31 +387,29 @@ def _lpf_recursion(x: int, primes: tuple[int, ...], w: int) -> int:
 def survivor_count(x: int, z: int, table: PrimeTable) -> int:
     """Number of integers in [1, x] with no prime factor below z.
 
-    Let m be the number of sifting primes after the wheel up to r = isqrt(x).
-    When 2^m <= r (or m <= 0), the least-prime-factor recursion
-    (_lpf_recursion) makes at most 2^m calls, no more than the r + 1 entries
-    the counting DP (_legendre_dp) builds before its first round; else the DP
-    counts.  Both are exact evaluations of Legendre's phi(x, pi(z - 1)), and
-    at every x lpf_census is a route independent of either.  The route is
-    chosen by _takes_dp, the rule check_survivor_count reserves by, so the
-    DP's lists are reserved only when the DP counts."""
+    Both routes return phi(x, a) over the a sifting primes up to r =
+    isqrt(x); each sifting prime in (r, min(z - 1, x)] is one integer, and
+    is subtracted here.  With m of the a after the wheel, the recursion
+    (_lpf_recursion) makes at most 2^m calls; when 2^m <= r (or m <= 0) that
+    is no more than the r + 1 entries the counting DP (_legendre_dp) builds
+    before its first round, so it counts, and else the DP.  lpf_census is a
+    route independent of either at every x.  The route is chosen by
+    _takes_dp, the rule check_survivor_count reserves by, so the DP's lists
+    are reserved only when the DP counts."""
     _check_sifting(z, table)
     check_survivor_count(x, z)
-    if not x:
-        return 0
-    if _takes_dp(x, z):
-        return _legendre_dp(x, z, table)
-    primes = table.primes[: bisect_right(table.primes, min(z - 1, x))]
-    return _lpf_recursion(x, primes, min(len(primes), len(WHEEL_PRIMES)))
+    primes = table.primes[: bisect_right(table.primes, min(z - 1, isqrt(x)))]
+    singles = bisect_right(table.primes, min(z - 1, x), len(primes)) - len(primes)
+    count = _legendre_dp if _takes_dp(x, z) else _lpf_recursion
+    return count(x, primes, min(len(primes), len(WHEEL_PRIMES))) - singles
 
 
 def lpf_census(x: int, z: int, table: PrimeTable) -> LpfCensus:
     """Classify [1, x] by least prime factor below z.
 
     The result satisfies survivors + sum(counts) == x exactly: the classes
-    are disjoint and exhaustive, and 1 always survives.  The class of a
-    sifting prime above sqrt(x) is that prime alone when it is <= x, and
-    empty beyond x.
+    are disjoint and exhaustive, and 1 always survives.  A sifting prime
+    above sqrt(x) is its own class when it is <= x, else its class is empty.
     """
     _check_sifting(z, table)
     check_sieve_pass(x)

@@ -46,6 +46,13 @@ def test_parse_x_spec():
         with pytest.raises(ResourceLimitError) as exc:
             parse_x_spec(spec)
         assert str(exc.value) == f"x = {power} exceeds the 2^48 sieve cap"
+    # a decimal too long for int() is past the cap; other bad tokens stay int()'s
+    with pytest.raises(ResourceLimitError, match="^x has 4401 digits, past the 2"):
+        parse_x_spec("16," + "1" * 4401)
+    with pytest.raises(ResourceLimitError, match="^the exponent of x has 4401 digits"):
+        parse_x_spec("pow10:1.." + "1" * 4401)
+    with pytest.raises(ValueError):
+        parse_x_spec("16,1" + "0" * 4399 + "a")
 
 
 def test_parse_z_spec():
@@ -169,10 +176,11 @@ def test_sweep_x_below_2_is_refused_before_its_z_rule(capsys, monkeypatch, x, z)
     "x, env, message",
     [
         ("1000,281474976710657", {}, "x = 281474976710657 exceeds the 2^48 sieve cap"),
+        ("1000000000000000", {}, "x = 1000000000000000 exceeds the 2^48 sieve cap"),
         ("1000,100000000", {"SIEVELAB_MEMORY_BUDGET": "500000"},
          "counting lists for x = 100000000"),
     ],
-    ids=["cap", "budget"],
+    ids=["cap", "cap_of_16_digits", "budget"],
 )
 def test_sweep_refuses_its_largest_x_before_any_point(capsys, monkeypatch, x, env, message):
     for name, value in env.items():
@@ -447,6 +455,27 @@ def test_prime_table_limit_past_the_sieve_cap_exits_3(capsys, argv):
     # chebyshev builds its table only to sqrt(x-max), so x-max itself is refused
     what = "x" if argv[0] == "chebyshev" else "prime table limit"
     assert f"resource cap: {what} = {10**310} exceeds the 2^48 sieve cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--x"],
+        ["chebyshev", "--x-max"],
+        ["verify-identities", "--limit"],
+        ["density-table", "--z"],
+        ["blowup-probe", "--z-max"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_value_too_long_for_int_exits_3_on_its_digit_count(capsys, monkeypatch, argv):
+    # int() refuses more than 4300 digits by default, and 2^48 has 15, so a
+    # longer decimal is refused as past the cap, not as a configuration error
+    _no_prime_table(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "1" + "0" * 4400)
+    assert (code, out) == (3, "")
+    what = "x" if argv[0] == "sweep" else argv[1]
+    assert err == f"resource cap: {what} has 4401 digits, past the 2^48 sieve cap\n"
 
 
 @pytest.mark.parametrize("spec, power", [

@@ -16,7 +16,6 @@ from sievelab.sieve import (
     build_prime_table,
     count_lpf,
     lpf_census,
-    _legendre_dp,
     prime_count,
     prime_counts,
     sifting_primes,
@@ -271,9 +270,38 @@ def test_the_route_rule_reads_no_prime_table(table_1k):
 
 
 def test_x_of_0_has_no_survivors_and_no_class(table_1k):
-    # the DP's domain is x >= 0; count_lpf reaches x // p = 0 whenever x < p
+    # survivor_count's domain is x >= 0 (x = 0 takes the recursion, with no
+    # primes); count_lpf reaches x // p = 0 whenever x < p
     assert survivor_count(0, 5, table_1k) == 0
     assert count_lpf(0, 3, table_1k) == count_lpf(2, 3, table_1k) == 0
+
+
+def _above_sqrt(x: int, limit: int) -> list[int]:
+    """Levels z, 2 <= z <= limit + 1, with z - 1 in (sqrt(x), x] or past x."""
+    r = isqrt(x)
+    zs = {r + 2, (r + x) // 2 + 1, x + 1, x + 2, 2 * x + 3}
+    return sorted(z for z in zs if 2 <= z <= limit + 1)
+
+
+@pytest.mark.parametrize("to_dp", [False, True], ids=["recursion", "dp"])
+def test_sifting_primes_above_sqrt_x_count_one_integer_each(table_1m, monkeypatch, to_dp):
+    # Every composite n <= x has its least prime factor at or below sqrt(x),
+    # so survivor_count counts by the primes up to isqrt(x) on either route
+    # and subtracts each sifting prime in (isqrt(x), x] as one integer.  Each
+    # route is forced here at every (x, z).  x = 0 takes the recursion at
+    # every z, with no primes and an empty wheel; the DP's domain is x >= 1.
+    assert not any(sieve._takes_dp(0, z) for z in range(2, 1002))
+    monkeypatch.setattr(sieve, "_takes_dp", lambda x, z: to_dp)
+    for x in range(int(to_dp), 121):
+        for z in _above_sqrt(x, table_1m.limit):
+            expected = oracles.survivors(x, z)
+            assert survivor_count(x, z, table_1m) == expected, (x, z)
+            if x:
+                assert lpf_census(x, z, table_1m).survivors == expected, (x, z)
+    for x in (10**4, 65_537, 999_983, 10**6):
+        for z in _above_sqrt(x, table_1m.limit):
+            expected = lpf_census(x, z, table_1m).survivors
+            assert survivor_count(x, z, table_1m) == expected, (x, z)
 
 
 def test_the_budget_is_read_at_each_call_and_a_bad_one_refused_each_time(table_1k, monkeypatch):
@@ -314,10 +342,21 @@ def _no_route(*args):
     raise AssertionError("survivor_count took the other route")
 
 
+def _by_route(count, x: int, z: int, table: sieve.PrimeTable) -> int:
+    """survivor_count(x, z, table) with `count` for the primes up to isqrt(x)."""
+    primes = table.primes[: bisect_right(table.primes, min(z - 1, isqrt(x)))]
+    singles = bisect_right(table.primes, min(z - 1, x)) - len(primes)
+    return count(x, primes, min(len(primes), len(sieve.WHEEL_PRIMES))) - singles
+
+
+def _legendre_dp(x: int, z: int, table: sieve.PrimeTable) -> int:
+    """survivor_count's counting DP route at any x >= 1, whichever route it selects."""
+    return _by_route(sieve._legendre_dp, x, z, table)
+
+
 def _recursion_route(x: int, z: int, table: sieve.PrimeTable) -> int:
-    """survivor_count's recursion route at any x >= 1, whichever route it selects."""
-    primes = table.primes[: bisect_right(table.primes, min(z - 1, x))]
-    return sieve._lpf_recursion(x, primes, min(len(primes), len(sieve.WHEEL_PRIMES)))
+    """survivor_count's recursion route at any x >= 0, whichever route it selects."""
+    return _by_route(sieve._lpf_recursion, x, z, table)
 
 
 # survivor_count's two counting routes, each checked against the same oracles
@@ -461,6 +500,16 @@ def test_legendre_dp_oracle_property(x, z):
     # runs far above sqrt(x)
     for route in ROUTES:
         assert route(x, z, _PROPERTY_TABLE) == oracles.survivors(x, z), route
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=st.integers(1, 10**7), data=st.data())
+def test_the_two_counting_routes_agree_on_the_same_primes(x, data):
+    # both take (x, the first j primes, each <= isqrt(x), w wheel primes among
+    # them) and return phi(x, j), whichever route survivor_count would select
+    j = data.draw(st.integers(0, bisect_right(_PI_TABLE.primes, isqrt(x))), label="j")
+    primes, w = _PI_TABLE.primes[:j], min(j, len(sieve.WHEEL_PRIMES))
+    assert sieve._legendre_dp(x, primes, w) == sieve._lpf_recursion(x, primes, w)
 
 
 _PROPERTY_TABLE = build_prime_table(3_000)
