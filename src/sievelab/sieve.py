@@ -12,9 +12,10 @@ up to sqrt(x) and count each larger sifting prime up to x as one integer;
 lpf_census and survivor_count each count those on their own.
 
 lpf_census sieves, and prime_counts reads pi at ascending x from one sieve
-pass.  _sieve_pass is their one marking loop: fixed-size wheel-2 segments,
-one byte per odd integer, marked by bytearray slices so that the hot loops
-stay in C, with the class of 2 counted in closed form.
+pass.  _sieve_pass is their one marking loop: fixed-size wheel-6 segments,
+one byte per integer prime to 6, marked by bytearray slices so that the hot
+loops stay in C, with the classes of 2 and 3 counted in closed form
+(Pritchard 1982; Bays and Hudson 1977).
 
 survivor_count counts phi(x, a), the integers in [1, x] with no factor among
 the a sifting primes up to r = isqrt(x), by one of two exact routes that
@@ -46,9 +47,9 @@ from math import ceil, isqrt, log, prod
 from .errors import ResourceLimitError
 from .highprec import int_to_str
 
-# Bytes per segment buffer, one odd integer each: 1 MiB covers about 2^21
-# integers.  _sieve_pass reads it at call time, so tests can shrink it to
-# force segment boundaries.
+# Bytes per segment buffer, one integer prime to 6 each: 1 MiB covers about
+# 3 * 2^20 integers.  _sieve_pass reads it at call time, so tests can shrink it
+# to force segment boundaries.
 SEGMENT_SIZE = 1 << 20
 # Cap on x and the prime-table limit: lpf_census sieves 10^8 integers in under
 # a second, so near 2^48 a census takes weeks.  The default 1 GiB budget binds
@@ -117,19 +118,21 @@ class LpfCensus:
     survivors: int
 
 
+def _pi_bound(limit: int) -> int:
+    """An upper bound on pi(limit): pi(x) < 1.26 x / ln x for x > 1 (Rosser
+    and Schoenfeld, 1962)."""
+    return ceil(1.26 * limit / log(limit)) if limit > 1 else 0
+
+
 def _prime_table_bytes(limit: int) -> int:
     """Upper bound on the bytes of build_prime_table(limit): its odd flags and
     the tuple of primes it returns.
 
-    One flag byte per odd integer, plus one tuple entry per prime: pi(x) <
-    1.26 x / ln x for x > 1 (Rosser and Schoenfeld, 1962), and each entry
-    costs a tuple slot and an int object no larger than `limit` (36 bytes
-    below 2^30 on a 64-bit build).
+    One flag byte per odd integer, plus one tuple entry per prime, each a
+    tuple slot and an int object no larger than `limit` (36 bytes below 2^30
+    on a 64-bit build).
     """
-    if limit < 2:
-        return 1
-    pi_bound = ceil(1.26 * limit / log(limit))
-    return (limit + 1) // 2 + pi_bound * (8 + sys.getsizeof(limit))
+    return (limit + 1) // 2 + _pi_bound(limit) * (8 + sys.getsizeof(limit))
 
 
 def build_prime_table(limit: int) -> PrimeTable:
@@ -216,58 +219,71 @@ def check_survivor_count(x: int, z: int) -> None:
 
 def check_sieve_pass(x: int) -> None:
     """lpf_census's and prime_counts' contract on x: a ValueError when x < 1, a
-    ResourceLimitError past MAX_SIEVE_X or with a segment buffer past the budget."""
+    ResourceLimitError past MAX_SIEVE_X or with what the pass holds past the
+    budget.
+
+    The pass holds one segment, a byte per integer prime to 6 up to x but at
+    most SEGMENT_SIZE bytes, and one lane at a time besides, copied out of it
+    to count or made to mark it: at most a tenth of a segment, as the lanes
+    of 5 have stride 10.  The old segment is freed before the next is made.
+    Per sieving prime p <= sqrt(x) it holds a slot in the prefix of primes
+    and a count, an int no larger than x.
+    """
     _check_range(x, "x", 1)
-    _reserve(min(SEGMENT_SIZE, (x + 1) // 2), "segment buffer")
+    seg = min(SEGMENT_SIZE, x - x // 2 - x // 3 + x // 6)
+    counts = _pi_bound(isqrt(x)) * (16 + sys.getsizeof(x))
+    _reserve(seg + (seg + 9) // 10 + counts, f"segment buffer and counts for x = {x}")
 
 
 def _sieve_pass(ends: list[int], primes: tuple[int, ...], want_counts: bool) -> tuple[list, list]:
-    """Mark multiples of `primes` over [1, x], x = ends[-1], in wheel-2 segments.
+    """Mark multiples of `primes` over [1, x], x = ends[-1], in wheel-6 segments.
 
-    `ends` ascends, and `primes` is a prefix of the ascending primes, so 2
-    comes first when it is not empty.  Returns (the unmarked integers <= e
-    for each e in ends, per-prime counts of integers <= x whose least listed
-    prime factor is primes[i]).  The class of 2 is x // 2 in closed form;
-    segment byte j - lo stands for the odd integer 2j + 1, and the odd
-    multiples of p sit at j = (p - 1) / 2 (mod p).  Counts of odd primes are
-    only accumulated when want_counts is set.
+    `ends` ascends, and `primes` is a prefix of the ascending primes, so it
+    starts 2, 3 when it has two entries or more.  Returns (the unmarked
+    integers <= e for each e in ends, per-prime counts of integers <= x whose
+    least listed prime factor is primes[i]).  The classes of 2 and 3 are x // 2
+    and the odd multiples of 3, (x // 3 + 1) // 2, in closed form, and so is
+    the whole pass for fewer than two primes: e unmarked for none, e - e // 2
+    for (2,).  Segment byte j - lo stands for the j-th integer prime to 6,
+    n = 3j + 1 + (j & 1), so j = n // 3 and the n <= e are the e - e // 2 -
+    e // 3 + e // 6 bytes below; a byte is 1 until it is marked.  The
+    multiples of p >= 5 prime to 6 are p m for m = 1 and m = 5 (mod 6): two
+    lanes of stride 2p from j = p // 3 and 5p // 3.  Counts of primes from 5
+    on are only accumulated when want_counts is set.
     """
     x = ends[-1]
-    counts = [0] * len(primes)
-    if not primes:
-        return list(ends), counts
-    counts[0] = x // 2
-    n_odd = (x + 1) // 2
-    buffer = min(SEGMENT_SIZE, n_odd)
-    # longest marking lane is the p = 3 one, at most a third of a segment
-    ones = b"\x01" * ((buffer + 2) // 3 + 1)
+    if len(primes) < 2:
+        return [e - e // 2 if primes else e for e in ends], [x // 2] * len(primes)
+    counts = [x // 2, (x // 3 + 1) // 2] + [0] * (len(primes) - 2)
     unmarked, found = 0, []
-    # the odd integers <= e are the segment bytes below (e + 1) // 2; last first
-    stops = [(e + 1) // 2 for e in reversed(ends)]
-    for lo in range(0, n_odd, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, n_odd)
+    # the stops, last first, and each byte counted once: up to each stop in the
+    # segment, then the rest
+    stops = [e - e // 2 - e // 3 + e // 6 for e in reversed(ends)]
+    n_bytes = stops[0]
+    for lo in range(0, n_bytes, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, n_bytes)
         length = hi - lo
-        seg = bytearray(length)
-        for i in range(1, len(primes)):
+        # the last segment is freed before the next is made
+        seg = None
+        seg = bytearray(b"\x01") * length
+        for i in range(2, len(primes)):
             p = primes[i]
-            # from the index p >> 1 of p itself, the first odd multiple never
-            # below p; p >> 1 < p, so a segment that starts below it starts there
-            a = ((p >> 1) - lo) % p
-            if a >= length:
-                continue
-            if want_counts:
-                lane = seg[a::p]
-                counts[i] += lane.count(0)
-                seg[a::p] = ones[: len(lane)]
-            else:
-                seg[a::p] = ones[: (length - a + p - 1) // p]
-        # each byte is counted once: up to each stop in the segment, then the rest
+            step = 2 * p
+            # both lanes start below 2p, at p and 5p, so the first index on a
+            # lane at or past lo is never below its start
+            for start in (p // 3, 5 * p // 3):
+                a = (start - lo) % step
+                if a >= length:
+                    continue
+                if want_counts:
+                    counts[i] += seg[a::step].count(1)
+                seg[a::step] = bytearray((length - a + step - 1) // step)
         at = 0
         while stops and stops[-1] <= hi:
-            unmarked += seg.count(0, at, stops[-1] - lo)
+            unmarked += seg.count(1, at, stops[-1] - lo)
             at = stops.pop() - lo
             found.append(unmarked)
-        unmarked += seg.count(0, at)
+        unmarked += seg.count(1, at)
     return found, counts
 
 

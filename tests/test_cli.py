@@ -528,13 +528,15 @@ def test_memory_budget_counts_the_chebyshev_prime_table(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "61555f026dce84f31d1e0bf5686a7ab78fe005489e6884e9f3919494a493af18"
     )
-    # below the 1 MiB segment buffer of the pass to x-max, refused before the table
+    # below the 1 MiB segment buffer of the pass to x-max, with its longest lane
+    # and counts, refused before the table
     monkeypatch.setenv("SIEVELAB_MEMORY_BUDGET", "1000000")
     _no_prime_table(monkeypatch)
     code, out, err = run_cli(capsys, "chebyshev", "--x-max", "10000000")
     assert (code, out) == (3, "")
     assert err == (
-        "resource cap: segment buffer would take about 1048576 bytes, budget is 1000000\n"
+        "resource cap: segment buffer and counts for x = 10000000 would take about"
+        " 1175214 bytes, budget is 1000000\n"
     )
 
 

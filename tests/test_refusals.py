@@ -78,7 +78,7 @@ _ROUTE_REFUSALS = {
                        ResourceLimitError, "x = 562949953421312 exceeds the 2^48 sieve cap"),
     "lpf_census_segment_buffer": ("1000000", lambda t: sieve.lpf_census(10**7, 5, t),
                                   ResourceLimitError,
-                                  "segment buffer would take about 1048576 bytes, budget is 1000000"),
+                                  "segment buffer and counts for x = 10000000 would take about 1175214 bytes, budget is 1000000"),
     "lpf_census_reach": (None, lambda t: sieve.lpf_census(100, 1002, t),
                          ValueError, "sifting level 1002 needs a table to 1001, limit is 1000"),
     "lpf_census_x_below_1": (None, lambda t: sieve.lpf_census(0, 5, t),
@@ -87,7 +87,7 @@ _ROUTE_REFUSALS = {
                          ResourceLimitError, "x = 562949953421312 exceeds the 2^48 sieve cap"),
     "prime_counts_segment_buffer": ("100000", lambda t: sieve.prime_counts([10, 10**6], t),
                                     ResourceLimitError,
-                                    "segment buffer would take about 500000 bytes, budget is 100000"),
+                                    "segment buffer and counts for x = 1000000 would take about 374719 bytes, budget is 100000"),
     "prime_counts_reach": (None, lambda t: sieve.prime_counts([10, 1002001], t), ValueError,
                            "prime_counts to 1002001 needs a table to 1001, limit is 1000"),
     "prime_counts_x_below_1": (None, lambda t: sieve.prime_counts([0, 10], t),

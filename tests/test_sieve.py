@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from bisect import bisect_right
 from math import isqrt
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,56 @@ def test_prime_counts_take_an_empty_list_and_repeated_points(table_1k):
     assert prime_counts([], table_1k) == []
     assert prime_counts([5, 5, 10], table_1k) == [3, 3, 4]
     assert prime_counts([1, 1], table_1k) == [0, 0]
+
+
+def _pass_by_trial_division(x_max: int, primes: tuple[int, ...]) -> tuple[list, list]:
+    """For each x <= x_max, what _sieve_pass(ends, primes, True) returns with
+    ends = [1, ..., x]: (the integers <= e with no factor in `primes`, for each
+    e <= x), and a list of class sizes to x for each prime, by trial division."""
+    alive, unmarked, sizes, counts = 0, [], dict.fromkeys(primes, 0), []
+    for n in range(1, x_max + 1):
+        p = oracles.least_prime_factor(n) if n > 1 else None
+        if p in sizes:
+            sizes[p] += 1
+        else:
+            alive += 1
+        unmarked.append(alive)
+        counts.append(list(sizes.values()))
+    return unmarked, counts
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 1 << 20])
+def test_the_pass_matches_trial_division_on_each_prime_prefix_and_stop_residue(monkeypatch, size):
+    # Fewer than two primes take the closed form; from (2, 3) on the classes of
+    # 2 and 3 are closed forms and 5 on sit on two lanes each.  Every stop e
+    # from 1 on covers every residue mod 6, and segments of 1 to 7 bytes put
+    # each lane start, p // 3 and 5p // 3, on either side of a boundary.
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    for primes in ((), (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7), (2, 3, 5, 7, 11, 13)):
+        unmarked, counts = _pass_by_trial_division(200, primes)
+        for x in range(1, 201):
+            ends = list(range(1, x + 1))
+            assert sieve._sieve_pass(ends, primes, True) == (unmarked[:x], counts[x - 1]), (primes, x)
+            assert sieve._sieve_pass([x], primes, False)[0] == [unmarked[x - 1]], (primes, x)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    # (x, segment size): segments of a few bytes cost a pass over the primes each
+    x_size=st.one_of(
+        st.tuples(st.integers(1, 3_000), st.integers(1, 7)),
+        st.tuples(st.integers(1, 10**5), st.integers(8, 1 << 20)),
+    ),
+    z=st.integers(2, 400),
+)
+def test_census_matches_trial_division_at_any_segment_size_property(x_size, z):
+    x, size = x_size
+    counts, survivors = oracles.census(x, z)
+    with patch.object(sieve, "SEGMENT_SIZE", size):
+        c = lpf_census(x, z, _PROPERTY_TABLE)
+        (pi_x,) = prime_counts([x], _PROPERTY_TABLE)
+    assert (dict(c.counts), c.survivors) == (counts, survivors)
+    assert pi_x == len(oracles.primes_upto(x))
 
 
 def test_prime_counts_at_seeded_points_to_1e7():
@@ -469,6 +520,26 @@ def test_the_dp_peaks_below_half_its_reservation():
     finally:
         tracemalloc.stop()
     assert peak < reserved / 2
+
+
+def test_the_pass_peaks_at_or_below_its_reservation(monkeypatch):
+    # the segment, one lane copied out of it or made to mark it, and a count
+    # per sieving prime; at 10^7 the pass crosses three segment boundaries
+    reserved = []
+    monkeypatch.setattr(sieve, "_reserve", lambda need, what: reserved.append(need))
+    for x in (10**5, 10**6, 10**7):
+        table = build_prime_table(isqrt(x) + 1)
+        sieve.check_sieve_pass(x)
+        need = reserved.pop()
+        for run in (lambda: lpf_census(x, isqrt(x) + 1, table), lambda: prime_counts([x], table)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= need, (x, peak, need)
+    assert 10**7 - 10**7 // 2 - 10**7 // 3 + 10**7 // 6 > 3 * sieve.SEGMENT_SIZE
 
 
 @pytest.mark.parametrize(
