@@ -255,6 +255,8 @@ def _chebyshev_grid(x_max: int, mode: str, extra: int, seed: int) -> list[int]:
         grid.update(decades)
     rng = random.Random(seed)
     for _ in range(extra):
+        if len(grid) == x_max - 1:
+            break  # every x in [2, x_max] is drawn: no later draw changes the grid
         grid.add(rng.randrange(2, x_max + 1))
     return sorted(grid)
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 from .densities import mertens_product
 from .errors import CapExceededError
-from .highprec import WORKING, fraction_to_decimal, ln_decimal
+from .highprec import WORKING, ln_decimal
 from .moebius import frac_bound_b3, frac_remainder_sum, legendre_sum
 from .sieve import PrimeTable, prime_count, survivor_count
 
@@ -39,7 +39,6 @@ class ErrorRecord:
     log2_legendre_bound: int
     b3_bound: Fraction
     frac_remainder: Fraction | None
-    ratio_error_to_pi_z: Decimal
     flags: tuple[str, ...] = ()
 
 
@@ -120,7 +119,6 @@ def evaluate_point(
         log2_legendre_bound=prime_count(z - 1, table),
         b3_bound=frac_bound_b3(x, z, table),
         frac_remainder=frac_value,
-        ratio_error_to_pi_z=fraction_to_decimal(abs(error) / pi_z),
         flags=tuple(flags),
     )
 

@@ -7,15 +7,16 @@ compares correctly rounded floats where its sides are far apart).  The
 working precision (60 significant digits, the WORKING context) comfortably
 exceeds the 50 digits the comparisons need.
 
-Every rounding is decimal's own, in decimal_quotient, which lowers a
-DecimalRatio in one division.  A fraction n/d is first cut with integer
-arithmetic: one divmod of n scaled by a power of ten against d gives a
-quotient of at least prec + 1 digits, and a nonzero remainder becomes a
-sticky half unit past its last digit, which rounds as the remainder would
-(Goldberg's guard and sticky digits).  No numerator or denominator
-(thousands of digits for a harmonic number or a primorial) is ever converted
-to a Decimal, and the result equals Decimal(n) / Decimal(d) in a
-`prec`-digit context, exponent included: 1/4 gives 0.25 and 6/2 gives 3.
+Every lowering is one WORKING.divide, decimal's own rounding, and no
+function here takes a precision.  A DecimalRatio is divided as it stands.  A
+fraction n/d is first cut with integer arithmetic: one divmod of n scaled by
+a power of ten against d gives a quotient of at least WORKING_PREC + 1
+digits, and a nonzero remainder becomes a sticky half unit past its last
+digit, which rounds as the remainder would (Goldberg's guard and sticky
+digits).  No numerator or denominator (thousands of digits for a harmonic
+number or a primorial) is ever converted to a Decimal, and the result equals
+Decimal(n) / Decimal(d) in the WORKING context, exponent included: 1/4 gives
+0.25 and 6/2 gives 3.
 
 ln_decimal takes ln n in integer fixed point, by square roots and the atanh
 series, and lets decimal round the two ends of its error interval; where
@@ -65,32 +66,24 @@ _LN2 = 1224685061431752149387114016819916847747660333428801675508466606222838699
 _LN_ERR = 1 << 20
 
 
-def fraction_to_decimal(q: Fraction, prec: int = WORKING_PREC) -> Decimal:
-    """Round an exact rational to a Decimal with `prec` significant digits.
+def fraction_to_decimal(q: Fraction) -> Decimal:
+    """Round an exact rational to a Decimal with WORKING_PREC significant digits.
 
-    |n| * 10^s / d is cut to an integer m of at least prec + 1 digits, and a
-    nonzero remainder becomes a sticky half unit: every prec-digit rounding
-    boundary is an integer in units of m, so decimal_quotient rounds
+    |n| * 10^s / d is cut to an integer m of at least WORKING_PREC + 1
+    digits, and a nonzero remainder becomes a sticky half unit: every
+    rounding boundary is an integer in units of m, so WORKING.divide rounds
     (2m + sticky) / (2 * 10^s) as it would round n / d.  The result is
-    Decimal(n) / Decimal(d) at `prec` digits, exponent included: an exact
-    quotient takes decimal's ideal exponent 0 in both.
+    Decimal(n) / Decimal(d) in WORKING, exponent included: an exact quotient
+    takes decimal's ideal exponent 0 in both.
     """
     n, d = q.numerator, q.denominator
     # for n != 0, |n| / d > 2^(bits(n) - bits(d) - 1), so 10^e <= |n| / d
     e = (n.bit_length() - d.bit_length() - 1) * 30103 // 100000 - 1
-    scale = 10 ** max(prec - e, 0)
+    scale = 10 ** max(WORKING_PREC - e, 0)
     m, r = divmod(abs(n) * scale, d)
     half_units = 2 * m + (r != 0)
     num = Decimal(-half_units if n < 0 else half_units)
-    return decimal_quotient(num, Decimal(2 * scale), prec)
-
-
-def decimal_quotient(num: Decimal, den: Decimal, prec: int = WORKING_PREC) -> Decimal:
-    """num / den rounded to `prec` significant digits, for integer-valued
-    Decimals of any size: the one lowering of both Fractions and DecimalRatios."""
-    with localcontext(WORKING) as ctx:
-        ctx.prec = prec
-        return num / den
+    return WORKING.divide(num, Decimal(2 * scale))
 
 
 def _int_to_decimal(n: int) -> Decimal:

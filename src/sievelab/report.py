@@ -14,9 +14,7 @@ from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .densities import DecimalRatio, DensityEntry
 from .errorlab import ChebyshevRecord, ErrorRecord, ProbeRow
-from .highprec import (
-    WORKING, decimal_quotient, fraction_to_decimal, int_to_str, ln_decimal, render,
-)
+from .highprec import WORKING, fraction_to_decimal, int_to_str, ln_decimal, render
 
 FORMATS = ("csv", "json")
 
@@ -78,7 +76,7 @@ def _ratio_exact(ratio: DecimalRatio) -> str:
 
 
 def _ratio_dec(ratio: DecimalRatio) -> str:
-    return render(decimal_quotient(*ratio))
+    return render(WORKING.divide(*ratio))
 
 
 def _ratio_error_logx_over_x(abs_error: Decimal, x: int) -> Decimal:
@@ -105,7 +103,7 @@ def error_row(rec: ErrorRecord) -> dict[str, Any]:
         "frac_remainder_exact": (
             None if rec.frac_remainder is None else _exact(rec.frac_remainder)
         ),
-        "ratio_error_to_pi_z": render(rec.ratio_error_to_pi_z),
+        "ratio_error_to_pi_z": render(abs(rec.error) / rec.pi_z),
         "ratio_error_logx_over_x": render(_ratio_error_logx_over_x(error.copy_abs(), rec.x)),
         "flags": ";".join(rec.flags),
     }

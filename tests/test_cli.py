@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -330,6 +331,31 @@ def test_chebyshev_decade_grid(capsys):
     rows = read_csv(out)
     assert [int(r["x"]) for r in rows] == [10**k for k in range(2, 7)]
     assert all(r["holds_54"] == "true" for r in rows)
+
+
+def test_chebyshev_random_draws_stop_once_the_grid_is_full(monkeypatch):
+    class Bounded(random.Random):
+        """A Random that refuses a draw past the 10^5th."""
+
+        draws = 0
+
+        def randrange(self, *args):
+            Bounded.draws += 1
+            if Bounded.draws > 10**5:
+                raise AssertionError("drew past a full grid")
+            return super().randrange(*args)
+
+    monkeypatch.setattr(cli.random, "Random", Bounded)
+    assert cli._chebyshev_grid(100, "default", 10**9, 1729) == list(range(2, 101))
+    # at seed 1729 the 99 points fill after 651 draws
+    assert Bounded.draws == 651
+
+
+def test_chebyshev_random_past_a_full_grid_gives_the_same_report(capsys):
+    argv = ["chebyshev", "--x-max", "100", "--random"]
+    full = run_cli(capsys, *argv, "10000")
+    assert full[0] == 0 and len(read_csv(full[1])) == 99
+    assert run_cli(capsys, *argv, "1000000000") == full
 
 
 def test_blowup_probe(capsys):

@@ -17,7 +17,7 @@ from sievelab.densities import (
     iter_harmonic_chain,
     mertens_product,
 )
-from sievelab.highprec import fraction_to_decimal, ln_decimal
+from sievelab.highprec import ln_decimal
 from sievelab.sieve import build_prime_table
 
 
@@ -107,7 +107,7 @@ _POSITIVE = st.fractions(min_value=Fraction(1, 100), max_value=100, max_denomina
     z=st.integers(2, 10_000),
     inv=_POSITIVE,
     harm=_POSITIVE,
-    log_z=_POSITIVE.map(lambda q: fraction_to_decimal(q, 60)),
+    log_z=_POSITIVE.map(lambda q: oracles.fraction_to_decimal(q, 60)),
 )
 def test_certified_chain_order_equals_the_exact_one(z, inv, harm, log_z):
     with patch.object(densities, "_chain_ordered_exactly", wraps=densities._chain_ordered_exactly) as exact:
@@ -133,10 +133,10 @@ def test_near_ties_take_the_exact_route(z, q, side, link):
     # q against q + side * 10^-70: at most one float apart, far inside the margin
     near = q + side * Fraction(1, 10**70)
     if link == "first":
-        inv, harm, log_z = near, q, fraction_to_decimal(q / 2, 60)
+        inv, harm, log_z = near, q, oracles.fraction_to_decimal(q / 2, 60)
         expected = side > 0 or (side == 0 and z == 2)
     else:
-        inv, harm, log_z = 2 * q, q, fraction_to_decimal(near, 75)
+        inv, harm, log_z = 2 * q, q, oracles.fraction_to_decimal(near, 75)
         expected = oracles.chain_ordered(z, inv, harm, log_z)
     with patch.object(densities, "_chain_ordered_exactly", wraps=densities._chain_ordered_exactly) as exact:
         assert densities._chain_ordered(z, inv, harm, log_z) == expected

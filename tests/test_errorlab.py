@@ -12,6 +12,7 @@ from sievelab.errorlab import (
     legendre_blowup_probe,
     run_sweep,
 )
+from sievelab.report import error_row
 from sievelab.sieve import lpf_census, prime_count, sifting_primes
 from oracles import read_csv
 
@@ -26,7 +27,7 @@ def test_evaluate_point_worked_example(table_1k):
     assert rec.b3_bound == Fraction(1, 6)
     assert rec.frac_remainder == Fraction(-1, 3)
     assert set(rec.flags) == {"frac=ok", "moebius=ok"}
-    assert str(rec.ratio_error_to_pi_z).startswith("0.1666666")
+    assert error_row(rec)["ratio_error_to_pi_z"].startswith("0.1666666")
     assert 0 <= rec.b3_bound < rec.pi_z
 
 
@@ -43,7 +44,7 @@ def test_evaluate_point_trivial_z(table_1k):
         assert rec.survivors == x
         assert rec.main_term == x
         assert rec.error == 0
-        assert rec.ratio_error_to_pi_z == 0
+        assert error_row(rec)["ratio_error_to_pi_z"] == "0"
 
 
 def test_evaluate_point_partition_coherence(table_1k):

@@ -11,14 +11,14 @@ import oracles
 from sievelab import highprec
 from sievelab.densities import build_density_table
 from sievelab.highprec import (
-    _PIECE_BITS, _STR_BITS, WORKING_PREC, decimal_quotient, fraction_to_decimal, int_to_str,
-    ln_decimal, render,
+    _PIECE_BITS, _STR_BITS, WORKING, WORKING_PREC, fraction_to_decimal, int_to_str, ln_decimal,
+    render,
 )
 from sievelab.sieve import build_prime_table
 
 
-def _same_as_division(q: Fraction, prec: int = WORKING_PREC) -> None:
-    assert fraction_to_decimal(q, prec).as_tuple() == oracles.fraction_to_decimal(q, prec).as_tuple()
+def _same_as_division(q: Fraction) -> None:
+    assert fraction_to_decimal(q).as_tuple() == oracles.fraction_to_decimal(q, WORKING_PREC).as_tuple()
 
 
 @pytest.mark.parametrize(
@@ -44,21 +44,21 @@ def test_density_table_row():
     for num, den in (entry.g_p, entry.partial_sum, entry.mertens_below_p):
         q = Fraction(int(num), int(den))
         _same_as_division(q)
-        assert decimal_quotient(num, den).as_tuple() == fraction_to_decimal(q).as_tuple()
+        assert WORKING.divide(num, den).as_tuple() == fraction_to_decimal(q).as_tuple()
     g = Fraction(int(entry.g_p[0]), int(entry.g_p[1]))
-    assert render(decimal_quotient(*entry.g_p)) == render(oracles.fraction_to_decimal(g, WORKING_PREC))
+    assert render(WORKING.divide(*entry.g_p)) == render(oracles.fraction_to_decimal(g, WORKING_PREC))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     n=st.integers(0, 10**150),
     d=st.integers(1, 10**150) | st.sampled_from([1, 2, 4, 5, 8, 10, 16, 125, 10**30, 2**100]),
-    prec=st.sampled_from([1, 2, 30, WORKING_PREC]),
 )
-def test_decimal_quotient_equals_fraction_to_decimal(n, d, prec):
+def test_decimal_quotient_equals_fraction_to_decimal(n, d):
+    # a DecimalRatio's one division against the cut of the same Fraction
     q = Fraction(n, d)
-    quotient = decimal_quotient(Decimal(q.numerator), Decimal(q.denominator), prec)
-    assert quotient.as_tuple() == fraction_to_decimal(q, prec).as_tuple()
+    quotient = WORKING.divide(Decimal(q.numerator), Decimal(q.denominator))
+    assert quotient.as_tuple() == fraction_to_decimal(q).as_tuple()
 
 
 def _int_to_str_cases() -> list[int]:
@@ -87,40 +87,33 @@ def test_int_to_str_equals_str():
 
 
 def test_halfway_cases_round_to_even():
-    # 0.5, 1.5, 2.5 and 3.5 at one digit
-    assert [str(fraction_to_decimal(Fraction(k, 2), 1)) for k in (1, 3, 5, 7)] == [
-        "0.5", "2", "2", "4"
-    ]
-    assert str(fraction_to_decimal(Fraction(25, 1000), 1)) == "0.02"
-    assert str(fraction_to_decimal(Fraction(35, 1000), 1)) == "0.04"
-    # ties at the rounding digit broken only by a remainder far past the cut,
-    # the second pair with no scaling of the numerator at all
-    near_ties = {
-        Fraction(25 * 10**70 + 1, 10**73): "0.03",
-        Fraction(25 * 10**70 - 1, 10**73): "0.02",
-        Fraction(-(25 * 10**70 + 1), 10**73): "-0.03",
-        Fraction(25 * 10**80 + 1, 10**10): "3E+71",
-        Fraction(25 * 10**80 - 1, 10**10): "2E+71",
-        Fraction(-(25 * 10**80 + 1), 10**10): "-3E+71",
-    }
-    assert {q: str(fraction_to_decimal(q, 1)) for q in near_ties} == near_ties
-    for q in near_ties:
-        _same_as_division(q, 1)
+    # ties at the 60th digit: 10^59 + 1/2 to even, 10^59 + 3/2 up, and ties
+    # broken only by a remainder 20 digits past the cut
+    big = 10**59
+    half = Fraction(2 * big + 1, 2)
+    eps = Fraction(1, 10**80)
+    cases = {half: big, half + 1: big + 2, half + eps: big + 1, half - eps: big}
+    cases = {q: str(rounded) for q, rounded in cases.items()}
+    # past 10^62 the numerator is not scaled at all: 10^62 + 500 is a tie in units of 1000
+    tie = Fraction(10**62 + 500)
+    cases[tie + Fraction(1, 10**10)] = f"1.{'0' * 58}1E+62"
+    cases[tie - Fraction(1, 10**10)] = f"1.{'0' * 59}E+62"
+    cases.update({-q: "-" + text for q, text in cases.items()})
+    assert {q: str(fraction_to_decimal(q)) for q in cases} == cases
+    for q in cases:
+        _same_as_division(q)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     n=st.integers(-(10**120), 10**120),
     d=st.integers(1, 10**120) | st.sampled_from([1, 2, 4, 5, 8, 10, 16, 125, 10**30, 2**100]),
-    prec=st.sampled_from([1, 2, 30, WORKING_PREC]),
 )
-def test_fraction_to_decimal_matches_decimal_division(n, d, prec):
+def test_fraction_to_decimal_matches_decimal_division(n, d):
     q = Fraction(n, d)
-    _same_as_division(q, prec)
+    _same_as_division(q)
     # symmetric in sign, exponent included: report.error_row lowers |error| by copy_abs
-    assert fraction_to_decimal(q, prec).copy_abs().as_tuple() == (
-        fraction_to_decimal(abs(q), prec).as_tuple()
-    )
+    assert fraction_to_decimal(q).copy_abs().as_tuple() == fraction_to_decimal(abs(q)).as_tuple()
 
 
 def _same_as_ln(n: int) -> None:
