@@ -317,7 +317,8 @@ def _pin_mmap_threshold() -> None:
 def _cmd_density(args, out) -> int:
     _pin_mmap_threshold()
     table = build_prime_table(args.z)
-    # checked to the last prime before the first byte; then written row by row
+    # checked to the last prime, making no rows, before the first byte; then
+    # made and written row by row, under the same checks
     entries = build_density_table(args.z, table)
     report.write_rows(report.density_rows(entries), report.DENSITY_COLUMNS, args.format, out)
     return 0

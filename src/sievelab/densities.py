@@ -98,10 +98,11 @@ def _apart(a: float, b: float) -> bool:
     return abs(a - b) > _FLOAT_MARGIN * max(abs(a), abs(b))
 
 
-def _chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal) -> bool:
+def _chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal,
+                   inv_float: float | None = None) -> bool:
     """inv > harm > log_z (inv >= harm at z = 2), decided in floats when
     both links are wider than _FLOAT_MARGIN and by _chain_ordered_exactly
-    otherwise.
+    otherwise.  inv_float, when given, is float(inv), made by the caller.
 
     float() of a Fraction divides its numerator by its denominator and
     float() of a Decimal parses its digits, both correctly rounded, so each
@@ -114,7 +115,8 @@ def _chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal) -> boo
     about gamma / ln z (0.063 at z = 10^4).  At z = 2 the first link meets
     (1 = 1), so that point always takes the exact route.
     """
-    a, b, c = float(inv), float(harm), float(log_z)
+    a = float(inv) if inv_float is None else inv_float
+    b, c = float(harm), float(log_z)
     if _apart(a, b) and _apart(b, c):
         return a > b > c
     return _chain_ordered_exactly(z, inv, harm, log_z)
@@ -177,17 +179,19 @@ def iter_harmonic_chain(z_max: int, table: PrimeTable) -> Iterator[tuple[int, Ha
     logs = [0] * (z_max // 2 + 1)
     log = 0
     inv = Fraction(1)
+    inv_float = 1.0
     harm = Fraction(0)
     for z in range(2, z_max + 1):
         harm += Fraction(1, z - 1)
         if z > 2 and not least[z - 1]:
             inv *= Fraction(z - 1, z - 2)
+            inv_float = float(inv)
         p = least[z]
         log = logs[p] + logs[z // p] if p else log + _log_ratio(z)
         if z < len(logs):
             logs[z] = log
         log_z = Decimal(log).scaleb(-_LOG_GUARD_PREC, WORKING)
-        yield z, HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z))
+        yield z, HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z, inv_float))
 
 
 # A rational as (numerator, denominator), integer-valued Decimals in lowest
@@ -226,37 +230,56 @@ def _telescope(
         yield p, s, u, big_p, a, b
 
 
+def _check_row(p: int, s: Decimal, u: Decimal, big_p: Decimal) -> None:
+    """The telescoping identity at p, unreduced: S = P - U."""
+    if s != big_p - u:
+        raise ArithmeticError(f"telescoping identity failed at p = {p}")
+
+
+def _check_last(z: int, u: Decimal, big_p: Decimal, a: Decimal, b: Decimal) -> None:
+    """The reduced product a/b equals U/P at the last prime.  Every step
+    scales both by the same (p - 1)/p, so equality at the last prime means
+    equality at every row."""
+    if a * big_p != u * b:
+        raise ArithmeticError(f"reduced and unreduced Mertens products differ at z = {z}")
+
+
+def _check_telescope(z: int, table: PrimeTable) -> None:
+    """Both checks over _telescope, making no rows."""
+    with localcontext(EXACT):
+        for p, s, u, big_p, a, b in _telescope(z, table):
+            _check_row(p, s, u, big_p)
+        _check_last(z, u, big_p, a, b)
+
+
 def _density_entries(z: int, table: PrimeTable) -> Iterator[DensityEntry]:
-    """The rows of _telescope, each checked: S = P - U (the telescoping
-    identity, unreduced) at every prime, and a/b = U/P at the last.  Every
-    step scales both by the same (p - 1)/p, so equality at the last prime
-    means equality at every row."""
+    """The rows of _telescope, under the same checks as _check_telescope.
+    Where gcd(p - 1, b) = 1, b*p is b' and the row holds b' itself."""
     a = b = Decimal(1)
     for p, s, u, big_p, a_next, b_next in _telescope(z, table):
         with localcontext(EXACT):
-            if s != big_p - u:
-                raise ArithmeticError(f"telescoping identity failed at p = {p}")
-            entry = DensityEntry(p, (a, b * p), (b_next - a_next, b_next), (a, b))
+            _check_row(p, s, u, big_p)
+            g_den = b_next if (bp := b * p) == b_next else bp
+            entry = DensityEntry(p, (a, g_den), (b_next - a_next, b_next), (a, b))
         yield entry
         a, b = a_next, b_next
     with localcontext(EXACT):
-        if a * big_p != u * b:
-            raise ArithmeticError(f"reduced and unreduced Mertens products differ at z = {z}")
+        _check_last(z, u, big_p, a, b)
 
 
 def build_density_table(z: int, table: PrimeTable) -> Iterator[DensityEntry]:
     """Per-prime densities and partial sums for all primes p <= z, as an
     iterator that makes one row at a time.
 
-    The whole table is built and checked once before this returns, and the
-    returned iterator builds it again, so no row is handed out before every
-    row has passed; a failed check raises ArithmeticError (a defect here,
-    not bad input).  Rows are g(p) = a/(b*p), the partial sum
-    1 - a'/b' = (b' - a')/b' with a'/b' the product through p, and the
-    product below p, a/b.
+    Both checks run over the whole telescope before this returns, making no
+    rows, and the returned iterator runs the telescope again, checking it as
+    it makes each row; so no row is handed out before every row has passed,
+    and a failed check raises ArithmeticError (a defect here, not bad
+    input).  Rows are g(p) = a/(b*p), the partial sum 1 - a'/b' =
+    (b' - a')/b' with a'/b' the product through p, and the product below p,
+    a/b.
     """
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")
-    for _ in _density_entries(z, table):
-        pass
+    _check_telescope(z, table)
     return _density_entries(z, table)

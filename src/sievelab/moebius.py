@@ -11,10 +11,15 @@ the exact rational remainder left behind when each floor is replaced by its
 real-valued main term.  All three draw their divisors from one helper,
 _signed_divisors, which lists them split by the sign of mu.  The cap bounds
 those lists, to 2^16 ints in all (3.1 MB under tracemalloc), so the memory
-budget is not read.
+budget is not read.  _signed_divisors keeps its last pair, as tuples no
+caller can change: the calls come in runs on one prime set (the samples of
+the Legendre and per-prime families, the two sums at each x of a
+remainder sweep).  So at MAX_PI_Z at most one pair (3.1 MB) stays alive
+between calls, and about twice that while the pair for a new set is built.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from .errors import CapExceededError
@@ -33,12 +38,13 @@ def check_enumeration(primes: tuple[int, ...]) -> None:
         raise CapExceededError(len(primes), MAX_PI_Z)
 
 
-def _signed_divisors(primes: tuple[int, ...]) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=1)
+def _signed_divisors(primes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The squarefree divisors d of prod(primes) as (plus, minus): mu(d) = +1, -1."""
     plus, minus = [1], []
     for p in primes:
         plus, minus = plus + [d * p for d in minus], minus + [d * p for d in plus]
-    return plus, minus
+    return tuple(plus), tuple(minus)
 
 
 def _moebius_count(y: int, primes: tuple[int, ...]) -> int:

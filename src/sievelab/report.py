@@ -69,10 +69,16 @@ def _exact(q: Fraction) -> str:
     return num if q.denominator == 1 else f"{num}/{int_to_str(q.denominator)}"
 
 
-def _ratio_exact(ratio: DecimalRatio) -> str:
-    """The exact text of a DecimalRatio, as str(Fraction) writes it."""
-    num, den = ratio
-    return str(num) if den == 1 else f"{num}/{den}"
+def _ratio_exact(ratio: DecimalRatio, texts: dict, last: dict) -> str:
+    """The exact text of a DecimalRatio, as str(Fraction) writes it.  texts
+    and last map id() to (integer, its text) for this row and the last, so
+    each integer's text is made once; each is kept beside its integer, so no
+    id is reused by another object while its text is kept."""
+    parts = []
+    for n in ratio if ratio[1] != 1 else ratio[:1]:
+        texts[id(n)] = kept = texts.get(id(n)) or last.get(id(n)) or (n, str(n))
+        parts.append(kept[1])
+    return "/".join(parts)
 
 
 def _ratio_dec(ratio: DecimalRatio) -> str:
@@ -131,17 +137,26 @@ def probe_row(row: ProbeRow) -> dict[str, Any]:
 
 
 def density_rows(entries: Iterable[DensityEntry]) -> Iterator[dict[str, Any]]:
-    """One row per entry, made as the row is asked for."""
+    """One row per entry, made as the row is asked for.
+
+    The text of an integer object is made once for this row and the next: a
+    is the numerator of g and of the product below p, and b' the
+    denominator of the partial sum, of the next row's product below, and of
+    g where build_density_table hands over b' for b*p.
+    """
+    last: dict[int, tuple[Decimal, str]] = {}
     for e in entries:
+        texts: dict[int, tuple[Decimal, str]] = {}
         yield {
             "p": e.p,
-            "g_exact": _ratio_exact(e.g_p),
+            "g_exact": _ratio_exact(e.g_p, texts, last),
             "g_dec": _ratio_dec(e.g_p),
-            "partial_sum_exact": _ratio_exact(e.partial_sum),
+            "partial_sum_exact": _ratio_exact(e.partial_sum, texts, last),
             "partial_sum_dec": _ratio_dec(e.partial_sum),
-            "mertens_below_exact": _ratio_exact(e.mertens_below_p),
+            "mertens_below_exact": _ratio_exact(e.mertens_below_p, texts, last),
             "mertens_below_dec": _ratio_dec(e.mertens_below_p),
         }
+        last = texts
 
 
 def write_rows(rows: Iterable[dict[str, Any]], columns: Sequence[str], fmt: str,
@@ -157,14 +172,11 @@ def write_rows(rows: Iterable[dict[str, Any]], columns: Sequence[str], fmt: str,
     """
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
-        last = len(columns) - 1
         for row in rows:
-            # field by field: no copy of a whole row, which in a large
-            # density table runs to tens of kilobytes, is made
-            for i, c in enumerate(columns):
-                if (value := row[c]) is not None:
-                    out.write(int_to_str(value) if type(value) is int else str(value))
-                out.write("\n" if i == last else ",")
+            # one write a row: a row of a large density table is tens of
+            # kilobytes, a copy that costs less than a write per field
+            out.write(",".join("" if v is None else int_to_str(v) if type(v) is int else str(v)
+                               for v in map(row.__getitem__, columns)) + "\n")
     elif fmt == "json":
         out.write("[")
         empty = True

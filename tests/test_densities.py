@@ -162,6 +162,14 @@ def test_harmonic_chain_logs_match_direct_ln_over_full_range():
         assert rec.log_z.as_tuple() == ln_decimal(z).as_tuple(), z
 
 
+def test_chain_order_from_the_carried_float_is_the_rule_on_the_record():
+    # iter_harmonic_chain converts inv to a float only where inv changes;
+    # the rule on the yielded values, converting afresh, decides the same
+    for z, rec in iter_harmonic_chain(10_000, _TABLE_10K):
+        expected = densities._chain_ordered(z, rec.product_inverse, rec.harmonic, rec.log_z)
+        assert rec.ordered == expected, z
+
+
 def test_density_table_rows(table_1k):
     # (numerator, denominator) pairs of integer Decimals, in lowest terms
     entries = list(build_density_table(10, table_1k))

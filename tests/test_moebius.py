@@ -29,11 +29,11 @@ from sievelab.densities import mertens_product
 
 
 def test_enumerate_divisors_empty():
-    assert _signed_divisors(()) == ([1], [])
+    assert _signed_divisors(()) == ((1,), ())
 
 
 def test_enumerate_divisors_two_primes():
-    assert _signed_divisors((2, 3)) == ([1, 6], [2, 3])
+    assert _signed_divisors((2, 3)) == ((1, 6), (2, 3))
 
 
 def test_enumerate_divisors_rank_order_and_count():
@@ -44,7 +44,7 @@ def test_enumerate_divisors_rank_order_and_count():
         for mask in range(1 << k):
             chosen = [primes[i] for i in range(k) if mask >> i & 1]
             by_sign[(-1) ** len(chosen)].append(prod(chosen))
-        assert _signed_divisors(primes[:k]) == (by_sign[1], by_sign[-1]), k
+        assert _signed_divisors(primes[:k]) == (tuple(by_sign[1]), tuple(by_sign[-1])), k
 
 
 def test_enumerate_divisors_term_count_doubles():
@@ -54,6 +54,28 @@ def test_enumerate_divisors_term_count_doubles():
         assert len(plus) + len(minus) == 1 << k
         if k:
             assert len(plus) == len(minus) == 1 << (k - 1), k
+
+
+def test_alternating_prime_sets_each_get_their_own_divisors(table_1k):
+    # the helper keeps one prime set's divisors: each switch of set must
+    # make the new set's, and each repeat must reuse them
+    _signed_divisors.cache_clear()
+    rng = random.Random(41)
+    for _ in range(6):
+        x = rng.randrange(1, 3_000)
+        for z, p in ((12, 29), (30, 11), (3, 2)):
+            census = oracles.census(x, p + 1)[0]
+            for _ in range(2):
+                assert legendre_sum(x, z, table_1k) == oracles.survivors(x, z), (x, z)
+                assert _signed_divisors.cache_info().currsize <= 1
+                assert frac_remainder_sum(x, z, table_1k) == oracles.frac_remainder_sum(x, z)
+                assert _signed_divisors.cache_info().currsize <= 1
+                assert lpf_count_via_moebius(x, p, table_1k) == census[p], (x, p)
+                assert _signed_divisors.cache_info().currsize <= 1
+    info = _signed_divisors.cache_info()
+    assert info.maxsize == 1 and info.hits and info.misses
+    plus, minus = _signed_divisors((2, 3, 5))
+    assert type(plus) is tuple and type(minus) is tuple
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab.densities import build_density_table
+from sievelab.densities import DensityEntry, build_density_table
 from sievelab.errorlab import ProbeRow, chebyshev_check, legendre_blowup_probe, run_sweep
 from sievelab.report import (
     CHEBYSHEV_COLUMNS,
@@ -20,6 +20,8 @@ from sievelab.report import (
     probe_row,
     write_rows,
 )
+from sievelab.highprec import WORKING, render
+from sievelab.sieve import build_prime_table
 from oracles import int_digit_limit_lifted, read_csv
 
 
@@ -178,3 +180,57 @@ def test_a_term_count_past_the_digit_limit_is_written_in_full():
                                    indent=2) + "\n"
     assert format_rows(rows, PROBE_COLUMNS, "csv") == expected_csv
     assert format_rows(rows, PROBE_COLUMNS, "json") == expected_json
+
+
+def _naive_density_rows(entries):
+    """density_rows with str() and WORKING.divide called afresh for every field."""
+    def exact(ratio):
+        num, den = ratio
+        return str(num) if den == 1 else f"{str(num)}/{str(den)}"
+
+    return [{"p": e.p,
+             "g_exact": exact(e.g_p), "g_dec": render(WORKING.divide(*e.g_p)),
+             "partial_sum_exact": exact(e.partial_sum),
+             "partial_sum_dec": render(WORKING.divide(*e.partial_sum)),
+             "mertens_below_exact": exact(e.mertens_below_p),
+             "mertens_below_dec": render(WORKING.divide(*e.mertens_below_p))}
+            for e in entries]
+
+
+def _fresh_copies(entries):
+    """Each entry with new integer objects, shared within the entry as in the
+    original.  The generator drops its copies at its next step, so a row's
+    objects are freed once its consumer lets go of them, and their ids can
+    be reused by a later row's."""
+    for e in entries:
+        copies = {}
+        yield DensityEntry(e.p, *(
+            tuple(copies.setdefault(id(n), n.copy_abs()) for n in ratio)
+            for ratio in e[1:]
+        ))
+
+
+def _check_density_rows(z, table):
+    entries = list(build_density_table(z, table))
+    expected = _naive_density_rows(entries)
+    assert list(density_rows(entries)) == expected, z
+    assert list(density_rows(_fresh_copies(entries))) == expected, z
+    # where gcd(p - 1, b) = 1, b*p equals b' and the row holds b' itself
+    assert all((e.g_p[1] is e.partial_sum[1]) == (e.g_p[1] == e.partial_sum[1])
+               for e in entries), z
+    return entries
+
+
+def test_density_rows_match_a_field_by_field_rendering_to_z_400():
+    table = build_prime_table(400)
+    for z in range(2, 401):
+        entries = _check_density_rows(z, table)
+    # both kinds of row: at p = 3, b = 2 shares 2 with p - 1; at p = 5, b = 3 does not
+    assert entries[1].g_p[1] != entries[1].partial_sum[1]
+    assert entries[2].g_p[1] is entries[2].partial_sum[1]
+
+
+def test_density_rows_match_a_field_by_field_rendering_past_the_digit_limit():
+    # 12277 is the first prime whose row holds a rational of more than 4300 digits
+    entries = _check_density_rows(12_281, build_prime_table(12_281))
+    assert entries[-1].p == 12_281 and len(str(entries[-1].g_p[1])) > 4_300
