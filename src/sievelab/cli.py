@@ -63,7 +63,7 @@ def parse_z_spec(spec: str) -> Callable[[int], int]:
     return lambda x: z
 
 
-def int_at_least(low: int) -> Callable[[str], int]:
+def _int_at_least(low: int) -> Callable[[str], int]:
     """An argparse type: an integer >= low, else exit 2 naming the flag."""
     def parse(text: str) -> int:
         value = int(text)
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the report here instead of stdout")
 
     p = sub.add_parser("verify-identities", help="run the exact-identity suite")
-    p.add_argument("--limit", type=_capped(int_at_least(0), "--limit"), default=10_000)
+    p.add_argument("--limit", type=_capped(_int_at_least(0), "--limit"), default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(run=_cmd_verify)
 
@@ -156,22 +156,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chebyshev", parents=[report_flags],
                        help="prime-counting inclusion checks")
-    p.add_argument("--x-max", type=_capped(int_at_least(2), "--x-max"), default=1_000_000)
+    p.add_argument("--x-max", type=_capped(_int_at_least(2), "--x-max"), default=1_000_000)
     p.add_argument("--grid", choices=("default", "decade"), default="default")
-    p.add_argument("--random", type=int_at_least(0), default=0, metavar="N",
+    p.add_argument("--random", type=_int_at_least(0), default=0, metavar="N",
                    help="additional seeded random sample points")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(run=_cmd_chebyshev)
 
     p = sub.add_parser("blowup-probe", parents=[report_flags],
                        help="term-count growth of the full Möbius sum")
-    p.add_argument("--z-max", type=_capped(int_at_least(2), "--z-max"), default=31)
-    p.add_argument("--x", type=int_at_least(1), default=1_000_000)
+    p.add_argument("--z-max", type=_capped(_int_at_least(2), "--z-max"), default=31)
+    p.add_argument("--x", type=_int_at_least(1), default=1_000_000)
     p.set_defaults(run=_cmd_blowup)
 
     p = sub.add_parser("density-table", parents=[report_flags],
                        help="per-prime density and partial sums")
-    p.add_argument("--z", type=_capped(int_at_least(2), "--z"), default=100)
+    p.add_argument("--z", type=_capped(_int_at_least(2), "--z"), default=100)
     p.set_defaults(run=_cmd_density)
 
     return parser

@@ -99,10 +99,10 @@ def _apart(a: float, b: float) -> bool:
 
 
 def _chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal,
-                   inv_float: float | None = None) -> bool:
+                   inv_float: float) -> bool:
     """inv > harm > log_z (inv >= harm at z = 2), decided in floats when
     both links are wider than _FLOAT_MARGIN and by _chain_ordered_exactly
-    otherwise.  inv_float, when given, is float(inv), made by the caller.
+    otherwise.  inv_float is float(inv), made by the caller.
 
     float() of a Fraction divides its numerator by its denominator and
     float() of a Decimal parses its digits, both correctly rounded, so each
@@ -115,10 +115,9 @@ def _chain_ordered(z: int, inv: Fraction, harm: Fraction, log_z: Decimal,
     about gamma / ln z (0.063 at z = 10^4).  At z = 2 the first link meets
     (1 = 1), so that point always takes the exact route.
     """
-    a = float(inv) if inv_float is None else inv_float
     b, c = float(harm), float(log_z)
-    if _apart(a, b) and _apart(b, c):
-        return a > b > c
+    if _apart(inv_float, b) and _apart(b, c):
+        return inv_float > b > c
     return _chain_ordered_exactly(z, inv, harm, log_z)
 
 
@@ -133,7 +132,7 @@ def harmonic_lower_bound_check(z: int, table: PrimeTable) -> HarmonicChain:
     inv = 1 / mertens_product(z, table)
     harm = sum((Fraction(1, k) for k in range(1, z)), Fraction(0))
     log_z = ln_decimal(z)
-    return HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z))
+    return HarmonicChain(inv, harm, log_z, _chain_ordered(z, inv, harm, log_z, float(inv)))
 
 
 def _log_ratio(p: int) -> int:
@@ -230,50 +229,40 @@ def _telescope(
         yield p, s, u, big_p, a, b
 
 
-def _check_row(p: int, s: Decimal, u: Decimal, big_p: Decimal) -> None:
-    """The telescoping identity at p, unreduced: S = P - U."""
-    if s != big_p - u:
-        raise ArithmeticError(f"telescoping identity failed at p = {p}")
-
-
-def _check_last(z: int, u: Decimal, big_p: Decimal, a: Decimal, b: Decimal) -> None:
-    """The reduced product a/b equals U/P at the last prime.  Every step
-    scales both by the same (p - 1)/p, so equality at the last prime means
-    equality at every row."""
-    if a * big_p != u * b:
-        raise ArithmeticError(f"reduced and unreduced Mertens products differ at z = {z}")
-
-
-def _check_telescope(z: int, table: PrimeTable) -> None:
-    """Both checks over _telescope, making no rows."""
+def _checked_telescope(z: int, table: PrimeTable) -> Iterator[tuple[int, Decimal, Decimal]]:
+    """(p, a, b) from _telescope through every prime p <= z, checking the
+    telescoping identity at each, unreduced (S = P - U), and the reduced
+    product a/b against U/P at the last.  Every step scales both by the same
+    (p - 1)/p, so equality at the last prime means equality at every row.
+    A failed check raises ArithmeticError."""
+    for p, s, u, big_p, a, b in _telescope(z, table):
+        with localcontext(EXACT):
+            if s != big_p - u:
+                raise ArithmeticError(f"telescoping identity failed at p = {p}")
+        yield p, a, b
     with localcontext(EXACT):
-        for p, s, u, big_p, a, b in _telescope(z, table):
-            _check_row(p, s, u, big_p)
-        _check_last(z, u, big_p, a, b)
+        if a * big_p != u * b:
+            raise ArithmeticError(f"reduced and unreduced Mertens products differ at z = {z}")
 
 
 def _density_entries(z: int, table: PrimeTable) -> Iterator[DensityEntry]:
-    """The rows of _telescope, under the same checks as _check_telescope.
-    Where gcd(p - 1, b) = 1, b*p is b' and the row holds b' itself."""
+    """The rows of a second run of _checked_telescope, made one at a time.
+    g's denominator b*p is made afresh in every row, b' or not."""
     a = b = Decimal(1)
-    for p, s, u, big_p, a_next, b_next in _telescope(z, table):
+    for p, a_next, b_next in _checked_telescope(z, table):
         with localcontext(EXACT):
-            _check_row(p, s, u, big_p)
-            g_den = b_next if (bp := b * p) == b_next else bp
-            entry = DensityEntry(p, (a, g_den), (b_next - a_next, b_next), (a, b))
+            entry = DensityEntry(p, (a, b * p), (b_next - a_next, b_next), (a, b))
         yield entry
         a, b = a_next, b_next
-    with localcontext(EXACT):
-        _check_last(z, u, big_p, a, b)
 
 
 def build_density_table(z: int, table: PrimeTable) -> Iterator[DensityEntry]:
     """Per-prime densities and partial sums for all primes p <= z, as an
     iterator that makes one row at a time.
 
-    Both checks run over the whole telescope before this returns, making no
-    rows, and the returned iterator runs the telescope again, checking it as
-    it makes each row; so no row is handed out before every row has passed,
+    _checked_telescope runs to the last prime before this returns, as a
+    check pass that makes no rows, and the returned iterator runs it again
+    to make each row; so no row is handed out before every check has passed,
     and a failed check raises ArithmeticError (a defect here, not bad
     input).  Rows are g(p) = a/(b*p), the partial sum 1 - a'/b' =
     (b' - a')/b' with a'/b' the product through p, and the product below p,
@@ -281,5 +270,6 @@ def build_density_table(z: int, table: PrimeTable) -> Iterator[DensityEntry]:
     """
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")
-    _check_telescope(z, table)
+    for _ in _checked_telescope(z, table):
+        pass
     return _density_entries(z, table)

@@ -11,11 +11,11 @@ from typing import Iterable, Iterator
 from . import densities, moebius, sieve
 from .sieve import PrimeTable
 
-Samples = Iterable[tuple[int, int]]
-Checks = Iterator[tuple[str, bool]]
+_Samples = Iterable[tuple[int, int]]
+_Checks = Iterator[tuple[str, bool]]
 
 
-def partition(samples: Samples, table: PrimeTable) -> Checks:
+def partition(samples: _Samples, table: PrimeTable) -> _Checks:
     """survivors + sum of class sizes == x at each (x, z), with the census's
     survivors equal to survivor_count's."""
     for x, z in samples:
@@ -26,34 +26,34 @@ def partition(samples: Samples, table: PrimeTable) -> Checks:
         )
 
 
-def class_recursion(samples: Samples, table: PrimeTable) -> Checks:
+def class_recursion(samples: _Samples, table: PrimeTable) -> _Checks:
     """Every class of the census at (x, z) against the per-prime recursion."""
     for x, z in samples:
         for p, size in sieve.lpf_census(x, z, table).counts:
             yield f"(x={x}, p={p})", sieve.count_lpf(x, p, table) == size
 
 
-def legendre(samples: Samples, table: PrimeTable) -> Checks:
+def legendre(samples: _Samples, table: PrimeTable) -> _Checks:
     """The full Möbius sum equals the sieve's survivor count at each (x, z)."""
     for x, z in samples:
         total = moebius.legendre_sum(x, z, table)
         yield f"(x={x}, z={z})", total == sieve.survivor_count(x, z, table)
 
 
-def per_prime(samples: Samples, table: PrimeTable) -> Checks:
+def per_prime(samples: _Samples, table: PrimeTable) -> _Checks:
     """The class size at each (x, p) by the per-prime Möbius sum and by count_lpf."""
     for x, p in samples:
         size = moebius.lpf_count_via_moebius(x, p, table)
         yield f"(x={x}, p={p})", size == sieve.count_lpf(x, p, table)
 
 
-def telescoping(r_max: int, table: PrimeTable) -> Checks:
+def telescoping(r_max: int, table: PrimeTable) -> _Checks:
     """The density telescoping identity at every prime r <= r_max."""
     for r, _, _, equal in densities.iter_density_identity(r_max, table):
         yield f"r={r}", equal
 
 
-def remainder(samples: Samples, table: PrimeTable) -> Checks:
+def remainder(samples: _Samples, table: PrimeTable) -> _Checks:
     """survivors - x * prod_{p<z}(1 - 1/p) equals the fractional-part sum at each (x, z)."""
     for x, z in samples:
         lhs = sieve.survivor_count(x, z, table) - x * densities.mertens_product(z, table)
@@ -61,7 +61,7 @@ def remainder(samples: Samples, table: PrimeTable) -> Checks:
         yield f"(x={x}, z={z})", lhs == rhs
 
 
-def harmonic(z_max: int, table: PrimeTable) -> Checks:
+def harmonic(z_max: int, table: PrimeTable) -> _Checks:
     """The harmonic chain strictly ordered at every z in [3, z_max]; the
     degenerate z = 2 counts as a check that holds."""
     for z, rec in densities.iter_harmonic_chain(z_max, table):

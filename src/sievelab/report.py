@@ -69,18 +69,6 @@ def _exact(q: Fraction) -> str:
     return num if q.denominator == 1 else f"{num}/{int_to_str(q.denominator)}"
 
 
-def _ratio_exact(ratio: DecimalRatio, texts: dict, last: dict) -> str:
-    """The exact text of a DecimalRatio, as str(Fraction) writes it.  texts
-    and last map id() to (integer, its text) for this row and the last, so
-    each integer's text is made once; each is kept beside its integer, so no
-    id is reused by another object while its text is kept."""
-    parts = []
-    for n in ratio if ratio[1] != 1 else ratio[:1]:
-        texts[id(n)] = kept = texts.get(id(n)) or last.get(id(n)) or (n, str(n))
-        parts.append(kept[1])
-    return "/".join(parts)
-
-
 def _ratio_dec(ratio: DecimalRatio) -> str:
     return render(WORKING.divide(*ratio))
 
@@ -139,24 +127,29 @@ def probe_row(row: ProbeRow) -> dict[str, Any]:
 def density_rows(entries: Iterable[DensityEntry]) -> Iterator[dict[str, Any]]:
     """One row per entry, made as the row is asked for.
 
-    The text of an integer object is made once for this row and the next: a
-    is the numerator of g and of the product below p, and b' the
-    denominator of the partial sum, of the next row's product below, and of
-    g where build_density_table hands over b' for b*p.
+    Each row takes str() of a, b' and b' - a', and of g's denominator b*p
+    only where gcd(p - 1, b) > 1.  A text is reused only where two integers
+    are equal by value: b*p against b', the product below's numerator
+    against a, and its denominator against the last row's b'.
     """
-    last: dict[int, tuple[Decimal, str]] = {}
+    last_den, last_text = Decimal(1), "1"
     for e in entries:
-        texts: dict[int, tuple[Decimal, str]] = {}
+        (a, g_den), (num, den), (below_num, below_den) = e.g_p, e.partial_sum, e.mertens_below_p
+        a_text, den_text = str(a), str(den)
+        g_den_text = den_text if g_den == den else str(g_den)
+        below = a_text if below_num == a else str(below_num)
+        if below_den != 1:
+            below += "/" + (last_text if below_den == last_den else str(below_den))
         yield {
             "p": e.p,
-            "g_exact": _ratio_exact(e.g_p, texts, last),
+            "g_exact": f"{a_text}/{g_den_text}",
             "g_dec": _ratio_dec(e.g_p),
-            "partial_sum_exact": _ratio_exact(e.partial_sum, texts, last),
+            "partial_sum_exact": f"{num!s}/{den_text}",
             "partial_sum_dec": _ratio_dec(e.partial_sum),
-            "mertens_below_exact": _ratio_exact(e.mertens_below_p, texts, last),
+            "mertens_below_exact": below,
             "mertens_below_dec": _ratio_dec(e.mertens_below_p),
         }
-        last = texts
+        last_den, last_text = den, den_text
 
 
 def write_rows(rows: Iterable[dict[str, Any]], columns: Sequence[str], fmt: str,

@@ -111,7 +111,7 @@ _POSITIVE = st.fractions(min_value=Fraction(1, 100), max_value=100, max_denomina
 )
 def test_certified_chain_order_equals_the_exact_one(z, inv, harm, log_z):
     with patch.object(densities, "_chain_ordered_exactly", wraps=densities._chain_ordered_exactly) as exact:
-        assert densities._chain_ordered(z, inv, harm, log_z) == oracles.chain_ordered(z, inv, harm, log_z)
+        assert densities._chain_ordered(z, inv, harm, log_z, float(inv)) == oracles.chain_ordered(z, inv, harm, log_z)
     # the floats decide every pair of links far apart, and only those
     links = [(float(inv), float(harm)), (float(harm), float(log_z))]
     far = all(abs(a - b) > 1e-6 * max(a, b) for a, b in links)
@@ -139,7 +139,7 @@ def test_near_ties_take_the_exact_route(z, q, side, link):
         inv, harm, log_z = 2 * q, q, oracles.fraction_to_decimal(near, 75)
         expected = oracles.chain_ordered(z, inv, harm, log_z)
     with patch.object(densities, "_chain_ordered_exactly", wraps=densities._chain_ordered_exactly) as exact:
-        assert densities._chain_ordered(z, inv, harm, log_z) == expected
+        assert densities._chain_ordered(z, inv, harm, log_z, float(inv)) == expected
     assert exact.call_count == 1
 
 
@@ -147,8 +147,8 @@ def test_the_chain_meets_itself_at_z_2_only_through_the_exact_route():
     # 1 = 1 at z = 2: the first link holds as >=, and no float margin decides it
     one = Fraction(1)
     with patch.object(densities, "_chain_ordered_exactly", wraps=densities._chain_ordered_exactly) as exact:
-        assert densities._chain_ordered(2, one, one, ln_decimal(2))
-        assert not densities._chain_ordered(3, one, one, ln_decimal(2))
+        assert densities._chain_ordered(2, one, one, ln_decimal(2), 1.0)
+        assert not densities._chain_ordered(3, one, one, ln_decimal(2), 1.0)
         assert harmonic_lower_bound_check(2, _TABLE).ordered
         assert dict(iter_harmonic_chain(2, _TABLE))[2].ordered
     assert exact.call_count == 4
@@ -166,7 +166,8 @@ def test_chain_order_from_the_carried_float_is_the_rule_on_the_record():
     # iter_harmonic_chain converts inv to a float only where inv changes;
     # the rule on the yielded values, converting afresh, decides the same
     for z, rec in iter_harmonic_chain(10_000, _TABLE_10K):
-        expected = densities._chain_ordered(z, rec.product_inverse, rec.harmonic, rec.log_z)
+        expected = densities._chain_ordered(z, rec.product_inverse, rec.harmonic, rec.log_z,
+                                             float(rec.product_inverse))
         assert rec.ordered == expected, z
 
 

@@ -3,6 +3,7 @@ import io
 import json
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -210,14 +211,38 @@ def _fresh_copies(entries):
         ))
 
 
+class _CountedDecimal(Decimal):
+    """A Decimal that counts the calls of its str()."""
+    texts = 0
+
+    def __str__(self):
+        _CountedDecimal.texts += 1
+        return super().__str__()
+
+
+def _text_count(entries):
+    """The str() calls density_rows makes on a list of entries rebuilt as
+    _CountedDecimals, each shared, within a row and across rows, where the
+    original is."""
+    copies = {}
+    counted = [DensityEntry(e.p, *(
+        tuple(copies.setdefault(id(n), _CountedDecimal(n)) for n in ratio) for ratio in e[1:]
+    )) for e in entries]
+    _CountedDecimal.texts = 0
+    for _ in density_rows(counted):
+        pass
+    return _CountedDecimal.texts
+
+
 def _check_density_rows(z, table):
     entries = list(build_density_table(z, table))
     expected = _naive_density_rows(entries)
     assert list(density_rows(entries)) == expected, z
     assert list(density_rows(_fresh_copies(entries))) == expected, z
-    # where gcd(p - 1, b) = 1, b*p equals b' and the row holds b' itself
-    assert all((e.g_p[1] is e.partial_sum[1]) == (e.g_p[1] == e.partial_sum[1])
-               for e in entries), z
+    # each integer's text once: a, b' and b' - a' a row, and b*p where
+    # gcd(p - 1, b) > 1, the rows where b*p is not b'
+    assert _text_count(entries) == sum(3 + (gcd(e.p - 1, int(e.mertens_below_p[1])) > 1)
+                                       for e in entries), z
     return entries
 
 
@@ -227,10 +252,18 @@ def test_density_rows_match_a_field_by_field_rendering_to_z_400():
         entries = _check_density_rows(z, table)
     # both kinds of row: at p = 3, b = 2 shares 2 with p - 1; at p = 5, b = 3 does not
     assert entries[1].g_p[1] != entries[1].partial_sum[1]
-    assert entries[2].g_p[1] is entries[2].partial_sum[1]
+    assert entries[2].g_p[1] == entries[2].partial_sum[1]
+    assert _text_count(entries) == 262
 
 
 def test_density_rows_match_a_field_by_field_rendering_past_the_digit_limit():
     # 12277 is the first prime whose row holds a rational of more than 4300 digits
     entries = _check_density_rows(12_281, build_prime_table(12_281))
     assert entries[-1].p == 12_281 and len(str(entries[-1].g_p[1])) > 4_300
+
+
+def test_density_rows_make_each_integer_text_once():
+    # 1522 rows at z = 12761: three texts a row, and one more in the 342
+    # rows where gcd(p - 1, b) > 1
+    entries = list(build_density_table(12_761, build_prime_table(12_761)))
+    assert _text_count(entries) == 4_908
