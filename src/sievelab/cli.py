@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: verify-identities, sweep, chebyshev, blowup-probe, density-table.
-Exit statuses: 0 success, 1 exact-check failure, 2 configuration error,
-3 resource cap.
+Exit statuses, chosen by `main` alone: 0 success, 1 exact-check failure,
+2 configuration error, 3 resource cap.  Handlers return nothing.  A failed exact
+check raises: one `exact check failed:` line on stderr, after the report written
+so far, and exit 1, as when chebyshev's pass and counting route differ either way.
 """
 
 import argparse
@@ -210,23 +212,21 @@ def _identity_families(limit: int, args) -> list[tuple[str, Iterator[tuple[str, 
     ]
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args, out) -> None:
     if args.limit == 0:
         print("ok: nothing to check (limit 0)", file=out)
-        return 0
+        return
     for name, checks in _identity_families(args.limit, args):
         count = 0
         for where, holds in checks:
             if not holds:
-                print(f"FAIL {name} at {where}", file=sys.stderr)
-                return 1
+                raise ArithmeticError(f"{name} at {where}")
             count += 1
         print(f"ok {name}: {count} checks", file=out)
     print("all identity families hold exactly", file=out)
-    return 0
 
 
-def _cmd_sweep(args, out) -> int:
+def _cmd_sweep(args, out) -> None:
     z_of = parse_z_spec(args.z)
     points = []
     for x in sorted(parse_x_spec(args.x)):
@@ -243,7 +243,6 @@ def _cmd_sweep(args, out) -> int:
                             frac_remainder=args.frac)
         rows = [report.error_row(rec) for rec in records]
     out.write(report.format_rows(rows, report.ERROR_COLUMNS, args.format))
-    return 0
 
 
 def _chebyshev_grid(x_max: int, mode: str, extra: int, seed: int) -> list[int]:
@@ -261,7 +260,7 @@ def _chebyshev_grid(x_max: int, mode: str, extra: int, seed: int) -> list[int]:
     return sorted(grid)
 
 
-def _cmd_chebyshev(args, out) -> int:
+def _cmd_chebyshev(args, out) -> None:
     grid = _chebyshev_grid(args.x_max, args.grid, args.random, args.seed)
     # refuse x-max before any work: its survivor count, then the pass to it
     check_survivor_count(args.x_max, isqrt(args.x_max) + 1)
@@ -272,18 +271,17 @@ def _cmd_chebyshev(args, out) -> int:
     out.write(report.format_rows(
         [report.chebyshev_row(r) for r in records], report.CHEBYSHEV_COLUMNS, args.format
     ))
-    bad = [r for r in records if not r.holds_54]
-    if bad:
-        print(f"FAIL inclusion at x={bad[0].x}", file=sys.stderr)
-        return 1
-    return 0
+    # Legendre's cut, an equality: the pass's pi(x) against the counting route's
+    bad = next((r for r in records if not r.holds_54 or r.pi_x != r.s_plus_pi_z - 1), None)
+    if bad is not None:
+        raise ArithmeticError(f"Legendre's cut fails at x = {bad.x}: pi(x) = {bad.pi_x}, "
+                              f"S(x, isqrt(x) + 1) + pi(isqrt(x)) - 1 = {bad.s_plus_pi_z - 1}")
 
 
-def _cmd_blowup(args, out) -> int:
+def _cmd_blowup(args, out) -> None:
     table = build_prime_table(args.z_max)
     rows = legendre_blowup_probe(args.z_max, args.x, table)
     report.write_rows(map(report.probe_row, rows), report.PROBE_COLUMNS, args.format, out)
-    return 0
 
 
 @cache
@@ -314,14 +312,13 @@ def _pin_mmap_threshold() -> None:
     mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
 
 
-def _cmd_density(args, out) -> int:
+def _cmd_density(args, out) -> None:
     _pin_mmap_threshold()
     table = build_prime_table(args.z)
     # checked to the last prime, making no rows, before the first byte; then
     # made and written row by row, under the same checks
     entries = build_density_table(args.z, table)
     report.write_rows(report.density_rows(entries), report.DENSITY_COLUMNS, args.format, out)
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -338,9 +335,11 @@ def main(argv: list[str] | None = None) -> int:
         path = getattr(args, "out", None)
         # opened and truncated before any work, like a shell redirection
         with open(path, "w") if path else nullcontext(sys.stdout) as out:
-            status = args.run(args, out)
-            out.flush()  # a reader gone from stdout shows here, not at exit
-            return status
+            try:
+                args.run(args, out)
+            finally:
+                out.flush()  # a reader gone from stdout shows here, not at exit
+        return 0
     except BrokenPipeError:
         # not a configuration error: quiet, with the status of a SIGPIPE death,
         # and stdout pointed at devnull for the flush at exit

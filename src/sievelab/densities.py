@@ -165,7 +165,8 @@ def iter_harmonic_chain(z_max: int, table: PrimeTable) -> Iterator[tuple[int, Ha
     WORKING_PREC digits.  The sums are exact; the series' truncations leave
     ln z low by about 10^-72 at most below 10^4, against 15 guard digits.
     Links are ordered by _chain_ordered, and harmonic_lower_bound_check is
-    the independent route, taking ln z from Decimal.ln.
+    the independent route, taking ln z from ln_decimal, with decimal's ln as
+    its fallback.
     """
     if z_max < 2:
         return

@@ -633,6 +633,25 @@ def test_a_stdout_closed_after_the_first_line_exits_141_quietly():
     proc.stderr.close()
 
 
+def test_a_failed_check_with_its_report_unread_exits_141_quietly():
+    # the reader is gone before the child starts; its report is still in the
+    # stdout buffer when the check fails, so the broken pipe shows at main's flush
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    script = ("import sys; from sievelab import cli, errorlab; real = errorlab.survivor_count; "
+              "errorlab.survivor_count = lambda *args: real(*args) + 1; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "chebyshev", "--x-max", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 # Prints whether a 4 MiB block is mmapped right after an 8 MiB one was freed,
 # reading glibc's mallinfo2; with an argument, after a density-table run.
 _MAPPED_AFTER_A_FREE = """
@@ -786,6 +805,52 @@ def test_a_wrong_reduced_product_exits_1_before_any_row(capsys, monkeypatch, tmp
     assert err == "exact check failed: reduced and unreduced Mertens products differ at z = 100\n"
 
 
+def _survivors_off_from_10_4(delta):
+    def breaker(real):
+        return lambda x, *args, **kwargs: real(x, *args, **kwargs) + delta * (x >= 10**4)
+    return breaker
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_chebyshev_exits_1_after_its_report_when_the_routes_differ_either_way(
+    capsys, monkeypatch, delta
+):
+    # a survivor count one off from x = 10^4 on: holds_54, an inequality, holds
+    # in every row either way, and Legendre's cut, an equality, fails
+    monkeypatch.setattr(errorlab, "survivor_count",
+                        _survivors_off_from_10_4(delta)(errorlab.survivor_count))
+    code, out, err = run_cli(capsys, "chebyshev", "--x-max", "1000000")
+    rows = read_csv(out)
+    assert code == 1 and len(out.splitlines()) == 8
+    assert [int(r["x"]) for r in rows] == [4, 16, 100, 1000, 10**4, 10**5, 10**6]
+    assert [int(r["s_plus_pi_z"]) - int(r["pi_x"]) for r in rows] == [1] * 4 + [1 + delta] * 3
+    assert all(r["holds_54"] == "true" for r in rows)
+    assert err == ("exact check failed: Legendre's cut fails at x = 10000: pi(x) = 1229, "
+                   f"S(x, isqrt(x) + 1) + pi(isqrt(x)) - 1 = {1229 + delta}\n")
+
+
+# (a command, the module whose binding it calls, the route, how to break it)
+_FAILED_CHECKS = [
+    (["verify-identities", "--limit", "600"], moebius, "legendre_sum", _off_by_one),
+    (["sweep", "--x", "1000", "--z", "31"], errorlab, "legendre_sum", _off_by_one),
+    (["density-table", "--z", "100"], densities, "_telescope", _partial_sums_one_too_large),
+    (["chebyshev", "--x-max", "1000000"], errorlab, "survivor_count",
+     _survivors_off_from_10_4(1)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, module, route, breaker", _FAILED_CHECKS, ids=[c[0][0] for c in _FAILED_CHECKS]
+)
+def test_every_failed_exact_check_is_one_stderr_line_and_exit_1(capsys, monkeypatch, argv,
+                                                                 module, route, breaker):
+    monkeypatch.setattr(module, route, breaker(getattr(module, route)))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("exact check failed: ")
+
+
 # (family, the module that defines the broken route, the route, how to break it)
 _FAMILY_ROUTES = [
     ("partition", sieve, "lpf_census", _one_survivor_too_many),
@@ -811,7 +876,7 @@ def test_verify_stops_at_the_first_failing_family(capsys, monkeypatch, index):
     monkeypatch.setattr(module, route, counted)
     code, out, err = run_cli(capsys, "verify-identities", "--limit", "600", "--seed", "5")
     assert code == 1
-    assert err.splitlines()[0].startswith(f"FAIL {family} at ")
+    assert err.splitlines()[0].startswith(f"exact check failed: {family} at ")
     assert out == "".join(GOLDEN_VERIFY.splitlines(keepends=True)[:index])
     if route == "count_lpf":
         assert len(calls) == 1  # no draws past the first failing check

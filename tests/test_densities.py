@@ -83,7 +83,8 @@ def test_harmonic_chain_examples(table_1k):
 
 def test_harmonic_chain_incremental_matches_pointwise():
     # the two routes share only _chain_ordered: ln z by series and sums
-    # against Decimal.ln, running products and sums against fresh ones
+    # against ln_decimal (decimal's ln its fallback), running products and
+    # sums against fresh ones
     rows = dict(iter_harmonic_chain(10_000, _TABLE_10K))
     for z in [*range(2, 401), 9973, 9974, 10_000]:
         rec, direct = rows[z], harmonic_lower_bound_check(z, _TABLE_10K)
