@@ -316,7 +316,7 @@ def _cmd_density(args, out) -> None:
     _pin_mmap_threshold()
     table = build_prime_table(args.z)
     # checked to the last prime, making no rows, before the first byte; then
-    # made and written row by row, under the same checks
+    # made from the reduced products the check pass checked, row by row
     entries = build_density_table(args.z, table)
     report.write_rows(report.density_rows(entries), report.DENSITY_COLUMNS, args.format, out)
 

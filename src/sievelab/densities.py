@@ -206,6 +206,21 @@ class DensityEntry(NamedTuple):
     mertens_below_p: DecimalRatio
 
 
+def _reduced(z: int, table: PrimeTable) -> Iterator[tuple[int, Decimal, Decimal, int]]:
+    """(p, a, b, gg) through every prime p <= z: a/b is prod_{q <= p} (1 - 1/q)
+    in lowest terms, as integer Decimals, and gg is what the step at p
+    cancelled.  a/b times (p - 1)/p needs only gg = gcd(p - 1, b) cancelled:
+    b is squarefree and p does not divide a.  Where gg = 1 the new b is the
+    old b times p.  Like _telescope and _density_entries, it calls EXACT's
+    methods rather than entering that context at every prime."""
+    a = b = Decimal(1)
+    for p in sifting_primes(table, z + 1):
+        gg = gcd(p - 1, int(EXACT.remainder(b, p - 1)))
+        a = EXACT.multiply(a, (p - 1) // gg)
+        b = EXACT.multiply(b if gg == 1 else EXACT.divide_int(b, gg), p)
+        yield p, a, b, gg
+
+
 def _telescope(
     z: int, table: PrimeTable
 ) -> Iterator[tuple[int, Decimal, Decimal, Decimal, Decimal, Decimal]]:
@@ -213,20 +228,14 @@ def _telescope(
 
     With P the product of the primes so far, S/P is the sum of their
     densities and U/P the product of (1 - 1/q) over them, both unreduced;
-    a/b is that product in lowest terms.  Each prime costs a few products
-    and two divisions by small ints.  a/b times (p - 1)/p needs only
-    gg = gcd(p - 1, b) cancelled: b is squarefree and p does not divide a.
+    a/b is that product in lowest terms, from _reduced.  Each prime costs a
+    few products and two divisions by small ints.
     """
-    s, u, big_p, a, b = Decimal(0), Decimal(1), Decimal(1), Decimal(1), Decimal(1)
-    for p in sifting_primes(table, z + 1):
-        # not held across the yield: the caller's arithmetic keeps its context
-        with localcontext(EXACT):
-            s = s * p + u
-            u *= p - 1
-            big_p *= p
-            gg = gcd(p - 1, int(b % (p - 1)))
-            a *= (p - 1) // gg
-            b = b // gg * p
+    s, u, big_p = Decimal(0), Decimal(1), Decimal(1)
+    for p, a, b, _ in _reduced(z, table):
+        s = EXACT.fma(s, p, u)
+        u = EXACT.multiply(u, p - 1)
+        big_p = EXACT.multiply(big_p, p)
         yield p, s, u, big_p, a, b
 
 
@@ -235,7 +244,8 @@ def _checked_telescope(z: int, table: PrimeTable) -> Iterator[tuple[int, Decimal
     telescoping identity at each, unreduced (S = P - U), and the reduced
     product a/b against U/P at the last.  Every step scales both by the same
     (p - 1)/p, so equality at the last prime means equality at every row.
-    A failed check raises ArithmeticError."""
+    A failed check raises ArithmeticError.  This is build_density_table's
+    check pass; the rows are made by _reduced alone."""
     for p, s, u, big_p, a, b in _telescope(z, table):
         with localcontext(EXACT):
             if s != big_p - u:
@@ -247,13 +257,14 @@ def _checked_telescope(z: int, table: PrimeTable) -> Iterator[tuple[int, Decimal
 
 
 def _density_entries(z: int, table: PrimeTable) -> Iterator[DensityEntry]:
-    """The rows of a second run of _checked_telescope, made one at a time.
-    g's denominator b*p is made afresh in every row, b' or not."""
+    """The rows from a run of _reduced alone, made one at a time: the same
+    deterministic a/b that _checked_telescope checked, without S, U and P.
+    g's denominator b*p is b' itself where the step cancelled nothing
+    (gg = 1), and is multiplied out only where it did."""
     a = b = Decimal(1)
-    for p, a_next, b_next in _checked_telescope(z, table):
-        with localcontext(EXACT):
-            entry = DensityEntry(p, (a, b * p), (b_next - a_next, b_next), (a, b))
-        yield entry
+    for p, a_next, b_next, gg in _reduced(z, table):
+        yield DensityEntry(p, (a, b_next if gg == 1 else EXACT.multiply(b, p)),
+                           (EXACT.subtract(b_next, a_next), b_next), (a, b))
         a, b = a_next, b_next
 
 
@@ -262,12 +273,12 @@ def build_density_table(z: int, table: PrimeTable) -> Iterator[DensityEntry]:
     iterator that makes one row at a time.
 
     _checked_telescope runs to the last prime before this returns, as a
-    check pass that makes no rows, and the returned iterator runs it again
-    to make each row; so no row is handed out before every check has passed,
-    and a failed check raises ArithmeticError (a defect here, not bad
-    input).  Rows are g(p) = a/(b*p), the partial sum 1 - a'/b' =
-    (b' - a')/b' with a'/b' the product through p, and the product below p,
-    a/b.
+    check pass that makes no rows, and the returned iterator runs _reduced,
+    the reduced half of that pass, again to make each row; so no row is
+    handed out before every check has passed, and a failed check raises
+    ArithmeticError (a defect here, not bad input).  Rows are g(p) =
+    a/(b*p), the partial sum 1 - a'/b' = (b' - a')/b' with a'/b' the
+    product through p, and the product below p, a/b.
     """
     if z < 2:
         raise ValueError(f"z must be >= 2, got {z}")

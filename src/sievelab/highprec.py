@@ -7,8 +7,11 @@ compares correctly rounded floats where its sides are far apart).  The
 working precision (60 significant digits, the WORKING context) comfortably
 exceeds the 50 digits the comparisons need.
 
-Every lowering is one WORKING.divide, decimal's own rounding, and no
-function here takes a precision.  A DecimalRatio is divided as it stands.  A
+Every lowering ends in one WORKING.divide, decimal's own rounding, and no
+function here takes a precision.  A DecimalRatio n/d of long integers is
+first cut to _CUT_DIGITS leading digits each, once rounded down and once up,
+and the two ends of that interval are divided; where they round alike, so
+does n/d (Ziv 1991), and otherwise n/d is divided as it stands.  A
 fraction n/d is first cut with integer arithmetic: one divmod of n scaled by
 a power of ten against d gives a quotient of at least WORKING_PREC + 1
 digits, and a nonzero remainder becomes a sticky half unit past its last
@@ -34,8 +37,8 @@ str()) by divide and conquer through exact Decimal arithmetic, as CPython
 """
 
 from decimal import (
-    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
-    InvalidOperation, Overflow, localcontext,
+    MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal,
+    DivisionByZero, Inexact, InvalidOperation, Overflow, localcontext,
 )
 from fractions import Fraction
 from math import isqrt
@@ -51,6 +54,14 @@ EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 # The working and rendering precisions, each in one context.
 WORKING = Context(prec=WORKING_PREC)
 _RENDER = Context(prec=RENDER_DIGITS)
+# ratio_to_decimal cuts a denominator of more than _CUT_FROM digits, and its
+# numerator, to _CUT_DIGITS digits, rounded down by _FLOOR and up by
+# _CEILING: 20 past the working precision.  Below about 500 digits the full
+# division is as fast as the cuts and both ends' divisions.
+_CUT_DIGITS = 80
+_CUT_FROM = 500
+_FLOOR = Context(prec=_CUT_DIGITS, rounding=ROUND_FLOOR)
+_CEILING = Context(prec=_CUT_DIGITS, rounding=ROUND_CEILING)
 # int_to_str uses str() below this many bits, at most 3914 digits, safely
 # under the 4300-digit limit; str() is as fast as the split up to about 10^4
 # digits and quadratic beyond.
@@ -84,6 +95,29 @@ def fraction_to_decimal(q: Fraction) -> Decimal:
     half_units = 2 * m + (r != 0)
     num = Decimal(-half_units if n < 0 else half_units)
     return WORKING.divide(num, Decimal(2 * scale))
+
+
+def ratio_to_decimal(n: Decimal, d: Decimal) -> Decimal:
+    """WORKING.divide(n, d) for integer-valued Decimals n, d > 0, exponent
+    included, from the leading digits of n and d where d is long.
+
+    With n and d each cut down and up to _CUT_DIGITS digits, n/d lies in
+    [floor(n) / ceil(d), ceil(n) / floor(d)], and half-even rounding is
+    monotone, so where both ends round to the same WORKING_PREC digits n/d
+    rounds to them too.  That value is returned only when its coefficient
+    has all WORKING_PREC digits and the last is not 0: an exact quotient of
+    fewer digits, which WORKING.divide writes with the ideal exponent 0
+    (30, not 3E+1), is thereby ruled out.  Otherwise n/d is divided in
+    full: for one quotient in ten, whose last digit is 0, and about once in
+    10^18 where the ends round apart.
+    """
+    if d.adjusted() >= _CUT_FROM:
+        low = WORKING.divide(_FLOOR.plus(n), _CEILING.plus(d))
+        high = WORKING.divide(_CEILING.plus(n), _FLOOR.plus(d))
+        digits = low.as_tuple().digits
+        if low.compare_total(high) == 0 and len(digits) == WORKING_PREC and digits[-1]:
+            return low
+    return WORKING.divide(n, d)
 
 
 def _int_to_decimal(n: int) -> Decimal:

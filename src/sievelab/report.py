@@ -14,7 +14,9 @@ from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .densities import DecimalRatio, DensityEntry
 from .errorlab import ChebyshevRecord, ErrorRecord, ProbeRow
-from .highprec import WORKING, fraction_to_decimal, int_to_str, ln_decimal, render
+from .highprec import (
+    WORKING, fraction_to_decimal, int_to_str, ln_decimal, ratio_to_decimal, render,
+)
 
 FORMATS = ("csv", "json")
 
@@ -70,7 +72,7 @@ def _exact(q: Fraction) -> str:
 
 
 def _ratio_dec(ratio: DecimalRatio) -> str:
-    return render(WORKING.divide(*ratio))
+    return render(ratio_to_decimal(*ratio))
 
 
 def _ratio_error_logx_over_x(abs_error: Decimal, x: int) -> Decimal:

@@ -805,6 +805,17 @@ def test_a_wrong_reduced_product_exits_1_before_any_row(capsys, monkeypatch, tmp
     assert err == "exact check failed: reduced and unreduced Mertens products differ at z = 100\n"
 
 
+def test_a_wrong_reduced_step_exits_1_before_any_row(capsys, monkeypatch, tmp_path):
+    # _reduced, which alone makes the rows, is checked through _telescope
+    real = densities._reduced
+    monkeypatch.setattr(densities, "_reduced", lambda *args: (
+        (p, a, Decimal(int(b) + 1), gg) for p, a, b, gg in real(*args)))
+    out_path = tmp_path / "table.csv"
+    code, out, err = run_cli(capsys, "density-table", "--z", "100", "--out", str(out_path))
+    assert (code, out, out_path.read_text()) == (1, "", "")
+    assert err == "exact check failed: reduced and unreduced Mertens products differ at z = 100\n"
+
+
 def _survivors_off_from_10_4(delta):
     def breaker(real):
         return lambda x, *args, **kwargs: real(x, *args, **kwargs) + delta * (x >= 10**4)

@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right
+from decimal import localcontext
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -17,7 +18,7 @@ from sievelab.densities import (
     iter_harmonic_chain,
     mertens_product,
 )
-from sievelab.highprec import ln_decimal
+from sievelab.highprec import EXACT, ln_decimal
 from sievelab.sieve import build_prime_table
 
 
@@ -206,6 +207,18 @@ def test_density_table_matches_the_fraction_oracle_at_5000(capsys):
     rows = oracles.density_rows(5_000, _TABLE_5K)
     for fmt in ("csv", "json"):
         assert _density_report(capsys, 5_000, fmt) == oracles.density_report(rows, fmt)
+
+
+def test_the_rows_are_the_checked_products():
+    # _density_entries runs _reduced alone: the (p, a', b') the check pass
+    # yields, and g's denominator b*p, made or reused
+    table = build_prime_table(2_000)
+    checked = list(densities._checked_telescope(2_000, table))
+    entries = list(densities._density_entries(2_000, table))
+    with localcontext(EXACT):
+        rows = [(e.p, e.partial_sum[1] - e.partial_sum[0], e.partial_sum[1]) for e in entries]
+        assert rows == checked and len(rows) == 303
+        assert all(e.g_p == (e.mertens_below_p[0], e.mertens_below_p[1] * e.p) for e in entries)
 
 
 def test_rationals_stay_reduced(table_1k):

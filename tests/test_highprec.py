@@ -1,7 +1,9 @@
 import random
 import sys
-from decimal import Decimal, localcontext
+from collections import Counter
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ import oracles
 from sievelab import highprec
 from sievelab.densities import build_density_table
 from sievelab.highprec import (
-    _PIECE_BITS, _STR_BITS, WORKING, WORKING_PREC, fraction_to_decimal, int_to_str, ln_decimal,
-    render,
+    _CUT_FROM, _PIECE_BITS, _STR_BITS, WORKING, WORKING_PREC, fraction_to_decimal, int_to_str,
+    ln_decimal, ratio_to_decimal, render,
 )
 from sievelab.sieve import build_prime_table
 
@@ -45,6 +47,7 @@ def test_density_table_row():
         q = Fraction(int(num), int(den))
         _same_as_division(q)
         assert WORKING.divide(num, den).as_tuple() == fraction_to_decimal(q).as_tuple()
+        assert ratio_to_decimal(num, den).as_tuple() == fraction_to_decimal(q).as_tuple()
     g = Fraction(int(entry.g_p[0]), int(entry.g_p[1]))
     assert render(WORKING.divide(*entry.g_p)) == render(oracles.fraction_to_decimal(g, WORKING_PREC))
 
@@ -59,6 +62,66 @@ def test_decimal_quotient_equals_fraction_to_decimal(n, d):
     q = Fraction(n, d)
     quotient = WORKING.divide(Decimal(q.numerator), Decimal(q.denominator))
     assert quotient.as_tuple() == fraction_to_decimal(q).as_tuple()
+
+
+class _CountingContext(Context):
+    """WORKING, counting its divisions."""
+
+    def __init__(self):
+        super().__init__(prec=WORKING_PREC)
+        self.divisions = 0
+
+    def divide(self, a, b):
+        self.divisions += 1
+        return super().divide(a, b)
+
+
+def _digits(lo: int, hi: int):
+    """Ints of lo to hi digits, the count drawn first."""
+    return st.integers(lo, hi).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
+
+
+# about as long as d, and so quotients near 1
+_general = st.tuples(_digits(1, 900), _digits(1, 900)) | st.integers(2, 900).flatmap(
+    lambda k: st.tuples(_digits(k - 1, k + 1), _digits(k, k)))
+# exact quotients c with large operands: d of 495 to 900 digits, or a short
+# coefficient times a power of ten, which the cut keeps whole
+_exact = st.tuples(
+    st.integers(1, 10**6) | st.sampled_from([3, 30, 25, 10**59 + 1, 10**60 - 1]),
+    _digits(_CUT_FROM - 5, 900)
+    | st.tuples(st.integers(1, 10**6), st.integers(_CUT_FROM - 5, 900)).map(
+        lambda me: me[0] * 10 ** me[1]),
+).map(lambda cd: (cd[0] * cd[1], cd[1]))
+# n/d within 1/d of a tie t/2 at the 60th digit: the cut cannot tell the sides apart
+_near_tie = st.tuples(
+    _digits(WORKING_PREC, WORKING_PREC), _digits(_CUT_FROM - 5, 900), st.integers(-1, 1)
+).map(lambda tdc: ((2 * tdc[0] + 1) * tdc[1] // 2 + tdc[2], tdc[1]))
+
+
+def test_ratio_to_decimal_is_the_full_division():
+    # under compare_total: the same digits and the same exponent
+    paths = Counter()
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(nd=_general | _exact | _near_tie)
+    def check(nd):
+        n, d = map(Decimal, nd)
+        counting = _CountingContext()
+        with patch.object(highprec, "WORKING", counting):
+            got = ratio_to_decimal(n, d)
+        assert got.compare_total(WORKING.divide(n, d)) == 0, nd
+        paths[{1: "full", 2: "cut", 3: "fallback"}[counting.divisions]] += 1
+
+    check()
+    assert paths["cut"] and paths["fallback"] and paths["full"], paths
+
+
+@pytest.mark.parametrize("c", [3, 30, 25, 10**60 - 1])
+def test_ratio_to_decimal_keeps_the_exponent_of_an_exact_quotient(c):
+    # c * 10^600 / 10^600 cuts to the same quotient with an exponent of 0 to
+    # 2: 30 would read 3E+1 were the cut's value returned
+    d = Decimal(10**600)
+    assert str(ratio_to_decimal(Decimal(c * 10**600), d)) == str(c)
 
 
 def _int_to_str_cases() -> list[int]:
